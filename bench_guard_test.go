@@ -11,23 +11,28 @@ import (
 	"repro/internal/dataset"
 )
 
-// Bench-regression guard for the window-sweep hot path. Two modes,
-// both off by default so `go test ./...` stays fast and deterministic:
+// Bench-regression guard for the window-sweep hot path and the front
+// end (XML scan and key generation). Three modes, all off by default so
+// `go test ./...` stays fast and deterministic:
 //
 //	SXNM_BENCH_RECORD=1  go test -run TestBenchGuard .   # (make bench-baseline)
 //	    measures every windowSweepCases entry and writes the ns/op map
-//	    under the "bench_ns_per_op" key of BENCH_sxnm.json, preserving
-//	    the rest of the committed run report.
+//	    under the "bench_ns_per_op" key of BENCH_sxnm.json, and the
+//	    front-end ledger (parse, DOM keygen, stream keygen on the
+//	    movies500 and cds150 corpora: ns/op, B/op, allocs/op) under
+//	    "bench_layers", preserving the rest of the committed run report.
 //	SXNM_BENCH_CHECK=1   go test -run TestBenchGuard .   # (make bench-check)
 //	    re-measures and fails if any case regresses more than 15%
-//	    against the recorded baseline. On machines with ≥4 usable CPUs
-//	    it additionally requires the 4-worker sweep to beat the
+//	    against the recorded baseline, or any front-end case allocates
+//	    more than 1% over its ledger entry (TestFrontEndAllocs checks
+//	    the allocation counts on every run). On machines with ≥4 usable
+//	    CPUs it additionally requires the 4-worker sweep to beat the
 //	    sequential one by ≥1.5× — on fewer cores that bar is physically
 //	    unreachable, so only the per-case regression check applies.
 //	SXNM_BENCH_MERGE=report.json go test -run TestBenchGuard .   # (make bench)
 //	    replaces the run-report portion of BENCH_sxnm.json with the
 //	    given freshly generated report while PRESERVING the committed
-//	    bench_ns_per_op baselines. `make bench` regenerates the report
+//	    bench_ns_per_op baselines and bench_layers ledger. `make bench` regenerates the report
 //	    through this mode; without it, rewriting the report wholesale
 //	    silently destroyed the ns/op baselines.
 const (
@@ -39,6 +44,12 @@ const (
 	// looser drift bar.
 	benchSpillTolerance = 0.35
 	benchMinSpeedup     = 1.5
+	// benchLayersKey holds the front-end ledger: ns/op, B/op and
+	// allocs/op of every frontEndLayers × corpus case.
+	benchLayersKey = "bench_layers"
+	// Allocation counts are deterministic, so the front-end ledger gates
+	// them almost exactly; the slack absorbs toolchain-level drift.
+	benchAllocTolerance = 0.01
 	// The threshold-aware filter is CPU-bound and deterministic, so it
 	// gets a hard floor: the filtered sequential sweep must resolve the
 	// same pair stream at least this much faster than the unfiltered one.
@@ -72,6 +83,99 @@ func measureWindowSweep() map[string]float64 {
 	return out
 }
 
+// layerStat is one front-end ledger entry.
+type layerStat struct {
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+}
+
+// measureFrontEnd benchmarks every front-end layer on every corpus,
+// keyed "layer/corpus"; ns/op is the best of two rounds, as for the
+// sweeps.
+func measureFrontEnd(t *testing.T) map[string]layerStat {
+	out := map[string]layerStat{}
+	corpora := frontEndCorpora(t)
+	for round := 0; round < 2; round++ {
+		for _, c := range corpora {
+			for _, l := range frontEndLayers {
+				c, l := c, l
+				r := testing.Benchmark(func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if err := l.op(c); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+				key := l.name + "/" + c.name
+				st := layerStat{NsPerOp: float64(r.NsPerOp()), BytesPerOp: float64(r.AllocedBytesPerOp()), AllocsPerOp: float64(r.AllocsPerOp())}
+				if prev, ok := out[key]; ok && prev.NsPerOp < st.NsPerOp {
+					st.NsPerOp = prev.NsPerOp
+				}
+				out[key] = st
+			}
+		}
+	}
+	return out
+}
+
+// recordedLayers decodes the committed front-end ledger.
+func recordedLayers(report map[string]any) (map[string]layerStat, error) {
+	raw, err := json.Marshal(report[benchLayersKey])
+	if err != nil {
+		return nil, err
+	}
+	var out map[string]layerStat
+	err = json.Unmarshal(raw, &out)
+	return out, err
+}
+
+// TestFrontEndAllocs gates the front-end ledger's allocation counts on
+// every test run: they are deterministic, so a parse or keygen change
+// that allocates more per document fails here, not only under
+// `make bench-check`.
+func TestFrontEndAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the ledger corpora")
+	}
+	raw, err := os.ReadFile(benchBaselineFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report map[string]any
+	if err := json.Unmarshal(raw, &report); err != nil {
+		t.Fatal(err)
+	}
+	base, err := recordedLayers(report)
+	if err != nil || len(base) == 0 {
+		t.Fatalf("%s has no %q ledger (%v) — run `make bench-baseline`", benchBaselineFile, benchLayersKey, err)
+	}
+	for _, c := range frontEndCorpora(t) {
+		for _, l := range frontEndLayers {
+			key := l.name + "/" + c.name
+			want, ok := base[key]
+			if !ok {
+				t.Errorf("ledger is missing %q — re-run `make bench-baseline`", key)
+				continue
+			}
+			got := testing.AllocsPerRun(2, func() {
+				if err := l.op(c); err != nil {
+					t.Fatal(err)
+				}
+			})
+			checkAllocs(t, key, got, want.AllocsPerOp)
+		}
+	}
+}
+
+func checkAllocs(t *testing.T, key string, got, want float64) {
+	t.Helper()
+	if got > want*(1+benchAllocTolerance)+2 {
+		t.Errorf("%s allocs/op regressed: %.0f vs ledger %.0f", key, got, want)
+	}
+}
+
 func TestBenchGuard(t *testing.T) {
 	record := os.Getenv("SXNM_BENCH_RECORD") == "1"
 	check := os.Getenv("SXNM_BENCH_CHECK") == "1"
@@ -103,8 +207,10 @@ func TestBenchGuard(t *testing.T) {
 		if err := json.Unmarshal(fresh, &next); err != nil {
 			t.Fatalf("parse %s: %v", merge, err)
 		}
-		if ns, ok := report[benchNsKey]; ok {
-			next[benchNsKey] = ns
+		for _, key := range []string{benchNsKey, benchLayersKey} {
+			if v, ok := report[key]; ok {
+				next[key] = v
+			}
 		}
 		out, err := json.MarshalIndent(next, "", "  ")
 		if err != nil {
@@ -120,9 +226,14 @@ func TestBenchGuard(t *testing.T) {
 	for name, ns := range measured {
 		t.Logf("%-16s %12.0f ns/op", name, ns)
 	}
+	layers := measureFrontEnd(t)
+	for name, st := range layers {
+		t.Logf("%-24s %12.0f ns/op %10.0f B/op %8.0f allocs/op", name, st.NsPerOp, st.BytesPerOp, st.AllocsPerOp)
+	}
 
 	if record {
 		report[benchNsKey] = measured
+		report[benchLayersKey] = layers
 		out, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -164,6 +275,22 @@ func TestBenchGuard(t *testing.T) {
 			t.Errorf("%s regressed: %.0f ns/op vs baseline %.0f (+%.0f%% > %.0f%% tolerance)",
 				name, got, want, (got/want-1)*100, tol*100)
 		}
+	}
+	baseLayers, err := recordedLayers(report)
+	if err != nil || len(baseLayers) == 0 {
+		t.Fatalf("%s has no %q ledger (%v) — run `make bench-baseline`", benchBaselineFile, benchLayersKey, err)
+	}
+	for name, got := range layers {
+		want, ok := baseLayers[name]
+		if !ok {
+			t.Errorf("ledger is missing %q — re-run `make bench-baseline`", name)
+			continue
+		}
+		if limit := want.NsPerOp * (1 + benchTolerance); got.NsPerOp > limit {
+			t.Errorf("%s regressed: %.0f ns/op vs ledger %.0f (+%.0f%% > %.0f%% tolerance)",
+				name, got.NsPerOp, want.NsPerOp, (got.NsPerOp/want.NsPerOp-1)*100, benchTolerance*100)
+		}
+		checkAllocs(t, name, got.AllocsPerOp, want.AllocsPerOp)
 	}
 	// The spill gate must be free when disabled: a run with
 	// SpillThresholdRows=0 takes the exact in-memory path, so it may not

@@ -9,6 +9,7 @@ package sxnm
 // Run with: go test -bench=. -benchmem
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -590,3 +591,88 @@ func BenchmarkAblationGKPersistence(b *testing.B) {
 		}
 	}
 }
+
+// frontEndCorpus is one corpus of the front-end ledger: its serialized
+// bytes, its parsed document, and a validated configuration whose
+// candidate paths are plain, so both key generators accept it.
+type frontEndCorpus struct {
+	name string
+	xml  []byte
+	doc  *xmltree.Document
+	cfg  *config.Config
+}
+
+// frontEndCorpora are the corpora of the parse and keygen ledger
+// layers: the 500-movie document (one flat candidate) and the 150-disc
+// CD document (four nested candidates).
+func frontEndCorpora(tb testing.TB) []frontEndCorpus {
+	tb.Helper()
+	movies, _, err := dataset.DataSet1(dataset.Movies1Options{Movies: 500, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cds, err := dataset.DataSet2(dataset.CDs2Options{Discs: 150, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := []frontEndCorpus{
+		{name: "movies500", doc: movies, cfg: config.DataSet1(5)},
+		{name: "cds150", doc: cds, cfg: config.DataSet2(5)},
+	}
+	for i := range out {
+		if err := out[i].cfg.Validate(); err != nil {
+			tb.Fatal(err)
+		}
+		out[i].xml = []byte(out[i].doc.String())
+	}
+	return out
+}
+
+// frontEndLayers are the ledger's front-end layers, each one operation
+// over a corpus: the XML scan into a DOM, DOM key generation over a
+// parsed document, and streaming key generation straight from bytes.
+var frontEndLayers = []struct {
+	name string
+	op   func(c frontEndCorpus) error
+}{
+	{"parse", func(c frontEndCorpus) error {
+		_, err := xmltree.ParseWithLimits(bytes.NewReader(c.xml), core.Limits{})
+		return err
+	}},
+	{"keygen-dom", func(c frontEndCorpus) error {
+		_, err := core.GenerateKeys(c.doc, c.cfg)
+		return err
+	}},
+	{"keygen-stream", func(c frontEndCorpus) error {
+		_, err := core.GenerateKeysStream(bytes.NewReader(c.xml), c.cfg)
+		return err
+	}},
+}
+
+func benchFrontEnd(b *testing.B, layer string) {
+	for _, c := range frontEndCorpora(b) {
+		for _, l := range frontEndLayers {
+			if l.name != layer {
+				continue
+			}
+			b.Run(c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(c.xml)))
+				for i := 0; i < b.N; i++ {
+					if err := l.op(c); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkParse measures the XML scan into a DOM.
+func BenchmarkParse(b *testing.B) { benchFrontEnd(b, "parse") }
+
+// BenchmarkKeyGenDOM measures key generation over a parsed document.
+func BenchmarkKeyGenDOM(b *testing.B) { benchFrontEnd(b, "keygen-dom") }
+
+// BenchmarkKeyGenStream measures streaming key generation from bytes.
+func BenchmarkKeyGenStream(b *testing.B) { benchFrontEnd(b, "keygen-stream") }

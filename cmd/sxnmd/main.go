@@ -163,6 +163,12 @@ func run(args []string, ready chan<- string) error {
 		return err
 	}
 
+	// Take over SIGTERM/SIGINT before the listener exists: a signal that
+	// arrives as soon as /readyz answers must drain, not kill, the
+	// daemon.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -175,8 +181,6 @@ func run(args []string, ready chan<- string) error {
 		ready <- ln.Addr().String()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		return err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/config"
@@ -70,11 +71,13 @@ func TestFilterSkipsHopelessPairs(t *testing.T) {
 func TestFilterDisabledUnderCustomRule(t *testing.T) {
 	doc := mustDoc(t, typoMoviesXML)
 	cfg := mustValidate(t, movieConfig(config.RuleCombined))
-	calls := 0
+	// The rule runs on the sweep's worker goroutines when passes are
+	// sharded.
+	var calls atomic.Int64
 	res, err := Run(doc, cfg, Options{
 		UseFilter: true,
 		DecisionRule: func(_ *config.Candidate, od, _ float64, _ bool) bool {
-			calls++
+			calls.Add(1)
 			return od >= 0.8
 		},
 	})
@@ -84,7 +87,7 @@ func TestFilterDisabledUnderCustomRule(t *testing.T) {
 	if res.Stats.Candidates["movie"].FilteredOut != 0 {
 		t.Error("filter must be inert when a custom rule decides")
 	}
-	if calls == 0 {
+	if calls.Load() == 0 {
 		t.Error("custom rule never called")
 	}
 }

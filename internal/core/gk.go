@@ -115,46 +115,34 @@ func GenerateKeysObserved(ctx context.Context, doc *xmltree.Document, cfg *confi
 		return &KeyGenResult{Tables: map[string]*GKTable{}, Duration: time.Since(start)}, err
 	}
 
-	tables := make(map[string]*GKTable, len(cfg.Candidates))
-	for i := range cfg.Candidates {
-		c := &cfg.Candidates[i]
-		fields, err := c.ODFields()
-		if err != nil {
-			return nil, fmt.Errorf("core: candidate %q: %w", c.Name, err)
-		}
-		simNames := make([]string, len(c.OD))
-		for j, od := range c.OD {
-			simNames[j] = od.SimFunc
-		}
-		tables[c.Name] = &GKTable{
-			Candidate: c,
-			fields:    fields,
-			bounds:    similarity.FieldBounds(simNames),
-			byEID:     make(map[int]int),
-		}
+	tables, err := newGKTables(cfg)
+	if err != nil {
+		return nil, err
 	}
 
-	// Match elements to candidates by absolute path. Candidate paths
-	// that use the descendant axis or wildcards are resolved up front
-	// into an element-pointer set; plain paths match by string, which
-	// avoids materializing node sets for the common case.
-	byAbsPath := make(map[string]*config.Candidate, len(cfg.Candidates))
+	// Match elements to candidates by path. Candidate paths that use the
+	// descendant axis or wildcards are resolved up front into an
+	// element-pointer set; plain paths are matched by the walk itself,
+	// which advances a path-trie position per element.
+	plain := plainPathTrie(cfg)
 	special := make(map[*xmltree.Node]*config.Candidate)
 	for i := range cfg.Candidates {
 		c := &cfg.Candidates[i]
 		if isPlainPath(c.XPath) {
-			byAbsPath[c.XPath] = c
 			continue
 		}
 		for _, n := range c.AbsPath().SelectDocument(doc) {
 			special[n] = c
 		}
 	}
-	candidateOf := func(n *xmltree.Node) *config.Candidate {
+	candidateOf := func(n *xmltree.Node, at *xmltree.PathNode) *config.Candidate {
 		if c, ok := special[n]; ok {
 			return c
 		}
-		return byAbsPath[n.AbsolutePath()]
+		if k := at.Value(); k >= 0 {
+			return &cfg.Candidates[k]
+		}
+		return nil
 	}
 
 	// Depth-first walk with an explicit stack of open candidate
@@ -166,8 +154,9 @@ func GenerateKeysObserved(ctx context.Context, doc *xmltree.Document, cfg *confi
 	}
 	var stack []open
 	visited := 0
-	var walk func(n *xmltree.Node) error
-	walk = func(n *xmltree.Node) error {
+	// walk visits n, whose parent sits at trie position up.
+	var walk func(n *xmltree.Node, up *xmltree.PathNode) error
+	walk = func(n *xmltree.Node, up *xmltree.PathNode) error {
 		if n.Kind != xmltree.ElementNode {
 			return nil
 		}
@@ -175,8 +164,9 @@ func GenerateKeysObserved(ctx context.Context, doc *xmltree.Document, cfg *confi
 		if err := bud.poll(visited); err != nil {
 			return err
 		}
+		at := up.Child(n.Name)
 		pushed := false
-		if c := candidateOf(n); c != nil {
+		if c := candidateOf(n, at); c != nil {
 			t := tables[c.Name]
 			if err := lim.CheckRows(len(t.Rows) + 1); err != nil {
 				return err
@@ -200,7 +190,7 @@ func GenerateKeysObserved(ctx context.Context, doc *xmltree.Document, cfg *confi
 			pushed = true
 		}
 		for _, ch := range n.Children {
-			if err := walk(ch); err != nil {
+			if err := walk(ch, at); err != nil {
 				return err
 			}
 		}
@@ -209,7 +199,7 @@ func GenerateKeysObserved(ctx context.Context, doc *xmltree.Document, cfg *confi
 		}
 		return nil
 	}
-	if err := walk(doc.Root); err != nil {
+	if err := walk(doc.Root, plain.Root()); err != nil {
 		if isInterruption(err) {
 			// Keep the rows extracted so far: the caller may still
 			// inspect or persist the partial tables.
@@ -219,6 +209,30 @@ func GenerateKeysObserved(ctx context.Context, doc *xmltree.Document, cfg *confi
 	}
 
 	return &KeyGenResult{Tables: tables, Duration: time.Since(start)}, nil
+}
+
+// newGKTables returns an empty GK table per candidate, keyed by
+// candidate name, with the OD similarity fields resolved.
+func newGKTables(cfg *config.Config) (map[string]*GKTable, error) {
+	tables := make(map[string]*GKTable, len(cfg.Candidates))
+	for i := range cfg.Candidates {
+		c := &cfg.Candidates[i]
+		fields, err := c.ODFields()
+		if err != nil {
+			return nil, fmt.Errorf("core: candidate %q: %w", c.Name, err)
+		}
+		simNames := make([]string, len(c.OD))
+		for j, od := range c.OD {
+			simNames[j] = od.SimFunc
+		}
+		tables[c.Name] = &GKTable{
+			Candidate: c,
+			fields:    fields,
+			bounds:    similarity.FieldBounds(simNames),
+			byEID:     make(map[int]int),
+		}
+	}
+	return tables, nil
 }
 
 // finishKeyGenSpan closes a key generation span with the rows
@@ -273,9 +287,22 @@ func buildRow(n *xmltree.Node, c *config.Candidate) (GKRow, error) {
 	return row, nil
 }
 
+// plainPathTrie maps every plain candidate path to its candidate's
+// index in cfg.Candidates; when two candidates share a path the later
+// one wins. Both key generators match candidate instances with it.
+func plainPathTrie(cfg *config.Config) *xmltree.PathTrie {
+	t := xmltree.NewPathTrie()
+	for i := range cfg.Candidates {
+		if p := cfg.Candidates[i].XPath; isPlainPath(p) {
+			t.Insert(p, i)
+		}
+	}
+	return t
+}
+
 // isPlainPath reports whether an xpath string is a simple slash-joined
 // element-name path (no predicates, wildcards, or descendant axis), so
-// instance matching can use AbsolutePath string comparison.
+// instance matching can follow the open-element path in a PathTrie.
 func isPlainPath(p string) bool {
 	for i := 0; i < len(p); i++ {
 		switch p[i] {

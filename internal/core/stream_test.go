@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/dataset"
 	"repro/internal/gen/freedb"
+	"repro/internal/xmltree"
 )
 
 // sortRowsByEID returns the table's rows ordered by element ID; the
@@ -166,5 +168,82 @@ func TestStreamMixedContentIDs(t *testing.T) {
 	if dom.Tables["movie"].Rows[0].EID != stream.Tables["movie"].Rows[0].EID {
 		t.Errorf("EIDs diverge with mixed content: dom=%d stream=%d",
 			dom.Tables["movie"].Rows[0].EID, stream.Tables["movie"].Rows[0].EID)
+	}
+}
+
+func TestStreamMergedTextIDs(t *testing.T) {
+	// Text outside candidates split by a comment is one DOM text node,
+	// so it takes one ID in both key generators.
+	xmlStr := `<movie_database>a<!-- c -->b<movies>x<?pi?>y<movie><title>Silent<!---->River</title></movie></movies></movie_database>`
+	doc := mustDoc(t, xmlStr)
+	cfg := mustValidate(t, movieConfig(config.RuleCombined))
+	dom, err := GenerateKeys(doc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := GenerateKeysStream(strings.NewReader(xmlStr), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertTablesEqual(t, dom, stream, cfg)
+}
+
+// gcAtEOF is a reader that, when its input runs out, collects garbage
+// and records the live heap: what the streaming generator still holds
+// after reading the whole document.
+type gcAtEOF struct {
+	r    *strings.Reader
+	heap uint64
+}
+
+func (g *gcAtEOF) Read(p []byte) (int, error) {
+	n, err := g.r.Read(p)
+	if err != nil && g.heap == 0 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		g.heap = ms.HeapAlloc
+	}
+	return n, err
+}
+
+func TestStreamDoesNotRetainDocument(t *testing.T) {
+	doc, _, err := dataset.DataSet1(dataset.Movies1Options{Movies: 3000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xmlStr := doc.String()
+	doc = nil
+	cfg := mustValidate(t, dataset.ScalabilityConfig(3))
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+
+	dom, err := xmltree.ParseString(xmlStr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	domHeap := ms.HeapAlloc - base
+	runtime.KeepAlive(dom)
+	dom = nil
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	base = ms.HeapAlloc
+
+	r := &gcAtEOF{r: strings.NewReader(xmlStr)}
+	kg, err := GenerateKeysStream(r, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(kg)
+	held := r.heap - base
+	t.Logf("live heap at end of input: stream %d bytes, parsed document %d bytes", held, domHeap)
+	// The GK tables alone take over half the document's heap; holding
+	// the candidate subtrees as well takes more than the document.
+	if held > domHeap*3/4 {
+		t.Errorf("streaming key generation holds %d bytes at the end of the input, over 3/4 of the parsed document's %d", held, domHeap)
 	}
 }

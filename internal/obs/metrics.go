@@ -77,8 +77,8 @@ type Metrics struct {
 	ResumedCandidates atomic.Int64 // candidates adopted from a checkpoint
 	ResumedPairs      atomic.Int64 // duplicate pairs seeded from a checkpoint
 
-	startOnce sync.Once
-	start     time.Time
+	// start is read by snapshots concurrently with MarkStart.
+	start atomic.Pointer[time.Time]
 }
 
 // MarkStart pins the rate baseline; the engine calls it when detection
@@ -87,15 +87,19 @@ func (m *Metrics) MarkStart() {
 	if m == nil {
 		return
 	}
-	m.startOnce.Do(func() { m.start = time.Now() })
+	now := time.Now()
+	m.start.CompareAndSwap(nil, &now)
 }
 
 // Elapsed returns the time since MarkStart (0 before it).
 func (m *Metrics) Elapsed() time.Duration {
-	if m == nil || m.start.IsZero() {
+	if m == nil {
 		return 0
 	}
-	return time.Since(m.start)
+	if t := m.start.Load(); t != nil {
+		return time.Since(*t)
+	}
+	return 0
 }
 
 // SampleHeap reads the live heap size from runtime/metrics (far

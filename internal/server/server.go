@@ -427,7 +427,6 @@ func (s *Server) adoptJob(ent spoolEntry, now time.Time) {
 		s.spool.renewLease(ent.id, s.owner, epoch, now, true)
 		return
 	}
-	s.journalAppend(j, JobEvent{Type: EventQueued})
 	s.Met.JobsResumed.Add(1)
 	s.cfg.Logf("spool: adopted job %s (epoch %d, submitted %s)", ent.id, epoch, ent.rec.Submitted.Format(time.RFC3339))
 }
@@ -669,7 +668,6 @@ func (s *Server) Submit(req *JobRequest) (*job, *apiError) {
 	s.attachJournal(j)
 	s.journalAppend(j, JobEvent{Type: EventAdmitted, Time: j.submitted})
 	s.enqueueLocked(j)
-	s.journalAppend(j, JobEvent{Type: EventQueued})
 	s.Met.JobsAccepted.Add(1)
 	s.mu.Unlock()
 	return j, nil
@@ -703,14 +701,18 @@ func (s *Server) enqueueLocked(j *job) {
 }
 
 func (s *Server) tryEnqueueLocked(j *job) bool {
+	// Every send on the queue happens under s.mu, so a slot free now is
+	// still free at the send below.
+	if len(s.queue) == cap(s.queue) {
+		return false
+	}
 	j.mu.Lock()
 	j.enqueued = time.Now().UTC()
 	j.mu.Unlock()
-	select {
-	case s.queue <- j:
-	default:
-		return false
-	}
+	// Journal the queued event before the send: from then on a worker
+	// may already be journaling the job's attempt-start.
+	s.journalAppend(j, JobEvent{Type: EventQueued})
+	s.queue <- j
 	s.jobs[j.id] = j
 	s.tenants[j.req.Tenant]++
 	j.counted = true

@@ -113,13 +113,16 @@ func Fold(s string) string {
 
 // Normalize upper-cases and diacritic-folds s and collapses runs of
 // whitespace into single spaces. This is the canonical form on which
-// keys are generated.
+// keys are generated. Each rune is lower-cased before it is folded and
+// upper-cased, so a letter and its lower case always normalize alike
+// (the capital sharp S, whose lower case is ß, and the Kelvin sign,
+// whose lower case is k, would not otherwise).
 func Normalize(s string) string {
-	s = Fold(s)
 	var b strings.Builder
 	b.Grow(len(s))
 	space := false
 	for _, r := range s {
+		r = foldRune(unicode.ToLower(r))
 		if unicode.IsSpace(r) {
 			space = b.Len() > 0
 			continue

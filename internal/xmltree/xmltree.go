@@ -1,7 +1,10 @@
 // Package xmltree implements the XML document model SXNM operates on:
 // an ordered tree of element and text nodes with parent links,
-// attributes, document-order identifiers, parsing (on top of
-// encoding/xml) and serialization.
+// attributes, document-order identifiers, parsing and serialization.
+//
+// Parsing runs on the package's own byte-level Scanner, which both the
+// DOM parser and the streaming key generator consume; PathTrie is the
+// matcher both key generators use to recognize candidate elements.
 //
 // The model is deliberately small — namespaces are flattened to local
 // names, comments and processing instructions are dropped — because the
