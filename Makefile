@@ -7,9 +7,9 @@ GO       ?= go
 FUZZTIME ?= 10s
 BENCHN   ?= 1000
 
-.PHONY: check vet build test smallspill smallshard fuzz-short bench bench-overhead bench-check bench-baseline daemon-smoke daemon-multi daemon-obs
+.PHONY: check vet build test smallspill fuzz-short bench bench-overhead bench-check bench-baseline daemon-smoke daemon-multi daemon-obs
 
-check: vet build test smallspill smallshard bench-overhead fuzz-short
+check: vet build test smallspill bench-overhead fuzz-short
 
 vet:
 	$(GO) vet ./...
@@ -26,20 +26,14 @@ test:
 smallspill:
 	$(GO) test -race -tags=smallspill ./...
 
-# Run the whole suite with every pass swept through the sharded engine
-# at the minimum legal shard size (one owned row per shard): any
-# behavioural difference between the sharded and sequential sweeps
-# fails an existing test.
-smallshard:
-	$(GO) test -race -tags=smallshard ./...
-
 # Regenerate the committed BENCH_sxnm.json baseline: a deterministic
 # movies corpus (seed 1, $(BENCHN) objects) run end to end with the
 # observer attached; the run report IS the baseline. Compare a fresh
 # report against the committed file to spot perf or accuracy drift.
 # The report is written to a scratch path and MERGED into the baseline
-# so the committed bench_ns_per_op map (owned by bench-baseline)
-# survives the refresh.
+# so what bench-baseline owns — the bench_ns_per_op map, the
+# bench_layers ledger and the bench_machine stamp — survives the
+# refresh.
 bench:
 	mkdir -p /tmp/sxnm-bench
 	$(GO) run ./cmd/xmlgen -kind movies -n $(BENCHN) -seed 1 \
@@ -52,8 +46,10 @@ bench:
 # Guard the window-sweep hot path against perf regressions: re-measure
 # the windowSweepCases benches and fail on >15% ns/op drift from the
 # bench_ns_per_op baselines committed in BENCH_sxnm.json (plus a ≥1.5×
-# 4-worker speedup bar on machines with ≥4 CPUs). bench-baseline
-# re-records after an intentional perf change.
+# 4-worker speedup bar on machines with ≥4 CPUs). It refuses to compare
+# when the baseline's bench_machine stamp (GOOS, GOARCH, GOMAXPROCS, CPU
+# model) is missing or names another host. bench-baseline re-records
+# after an intentional perf change, or on a new machine.
 bench-check:
 	SXNM_BENCH_CHECK=1 $(GO) test -run 'TestBenchGuard$$' -count=1 -v .
 
@@ -81,7 +77,6 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzBoundSoundness -fuzztime $(FUZZTIME) ./internal/similarity
 	$(GO) test -run '^$$' -fuzz FuzzMergeInvariants -fuzztime $(FUZZTIME) ./internal/extsort
 	$(GO) test -run '^$$' -fuzz FuzzSpillRowCodec -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz 'FuzzShardPlan$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzJobConfigDecode -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzLeaseDecode -fuzztime $(FUZZTIME) ./internal/server
 

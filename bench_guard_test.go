@@ -2,8 +2,10 @@ package sxnm
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -20,9 +22,13 @@ import (
 //	    under the "bench_ns_per_op" key of BENCH_sxnm.json, and the
 //	    front-end ledger (parse, DOM keygen, stream keygen on the
 //	    movies500 and cds150 corpora: ns/op, B/op, allocs/op) under
-//	    "bench_layers", preserving the rest of the committed run report.
+//	    "bench_layers", and stamps the host under "bench_machine",
+//	    preserving the rest of the committed run report.
 //	SXNM_BENCH_CHECK=1   go test -run TestBenchGuard .   # (make bench-check)
-//	    re-measures and fails if any case regresses more than 15%
+//	    refuses to compare when the baseline's "bench_machine" stamp is
+//	    missing or names another host (ns/op only means something on the
+//	    hardware that recorded it). Otherwise it re-measures and fails
+//	    if any case regresses more than 15%
 //	    against the recorded baseline, or any front-end case allocates
 //	    more than 1% over its ledger entry (TestFrontEndAllocs checks
 //	    the allocation counts on every run). On machines with ≥4 usable
@@ -32,9 +38,10 @@ import (
 //	SXNM_BENCH_MERGE=report.json go test -run TestBenchGuard .   # (make bench)
 //	    replaces the run-report portion of BENCH_sxnm.json with the
 //	    given freshly generated report while PRESERVING the committed
-//	    bench_ns_per_op baselines and bench_layers ledger. `make bench` regenerates the report
-//	    through this mode; without it, rewriting the report wholesale
-//	    silently destroyed the ns/op baselines.
+//	    bench_ns_per_op baselines, bench_layers ledger and bench_machine
+//	    stamp. `make bench` regenerates the report through this mode;
+//	    without it, rewriting the report wholesale silently destroyed
+//	    the ns/op baselines.
 const (
 	benchBaselineFile = "BENCH_sxnm.json"
 	benchNsKey        = "bench_ns_per_op"
@@ -47,6 +54,9 @@ const (
 	// benchLayersKey holds the front-end ledger: ns/op, B/op and
 	// allocs/op of every frontEndLayers × corpus case.
 	benchLayersKey = "bench_layers"
+	// benchMachineKey holds the stamp of the host the baselines were
+	// recorded on.
+	benchMachineKey = "bench_machine"
 	// Allocation counts are deterministic, so the front-end ledger gates
 	// them almost exactly; the slack absorbs toolchain-level drift.
 	benchAllocTolerance = 0.01
@@ -64,14 +74,13 @@ const (
 // is scheduler noise — single samples on busy machines drift far more
 // than the regression tolerance.
 func measureWindowSweep() map[string]float64 {
-	out := make(map[string]float64, len(windowSweepCases)+len(spillSweepCases)+len(shardSweepCases))
+	out := make(map[string]float64, len(windowSweepCases)+len(spillSweepCases))
 	for round := 0; round < 2; round++ {
 		cases := append([]struct {
 			name string
 			opts core.Options
 		}{}, windowSweepCases...)
 		cases = append(cases, spillSweepCases...)
-		cases = append(cases, shardSweepCases...)
 		for _, c := range cases {
 			opts := c.opts
 			r := testing.Benchmark(func(b *testing.B) { benchWindowSweep(b, opts) })
@@ -207,7 +216,7 @@ func TestBenchGuard(t *testing.T) {
 		if err := json.Unmarshal(fresh, &next); err != nil {
 			t.Fatalf("parse %s: %v", merge, err)
 		}
-		for _, key := range []string{benchNsKey, benchLayersKey} {
+		for _, key := range []string{benchNsKey, benchLayersKey, benchMachineKey} {
 			if v, ok := report[key]; ok {
 				next[key] = v
 			}
@@ -222,6 +231,11 @@ func TestBenchGuard(t *testing.T) {
 		t.Logf("merged %s into %s, preserving %q", merge, benchBaselineFile, benchNsKey)
 		return
 	}
+	if !record {
+		if msg := machineMismatch(report[benchMachineKey], hostMachine()); msg != "" {
+			t.Fatal(msg)
+		}
+	}
 	measured := measureWindowSweep()
 	for name, ns := range measured {
 		t.Logf("%-16s %12.0f ns/op", name, ns)
@@ -234,6 +248,7 @@ func TestBenchGuard(t *testing.T) {
 	if record {
 		report[benchNsKey] = measured
 		report[benchLayersKey] = layers
+		report[benchMachineKey] = hostMachine()
 		out, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -251,11 +266,6 @@ func TestBenchGuard(t *testing.T) {
 	}
 	spilled := map[string]bool{}
 	for _, c := range spillSweepCases {
-		if c.opts.SpillThresholdRows > 0 {
-			spilled[c.name] = true
-		}
-	}
-	for _, c := range shardSweepCases {
 		if c.opts.SpillThresholdRows > 0 {
 			spilled[c.name] = true
 		}
@@ -298,20 +308,6 @@ func TestBenchGuard(t *testing.T) {
 	if off, seq := measured["spill-off"], measured["seq"]; off > seq*(1+benchTolerance) {
 		t.Errorf("spill-off sweep %.0f ns/op is %.0f%% over the plain sequential %.0f",
 			off, (off/seq-1)*100, seq)
-	}
-	// The shard coordination tax must stay bounded: a single-shard run
-	// takes the full planner/worker/replay machinery over one range, so
-	// its drift from the sequential sweep is pure overhead and may not
-	// exceed the regression tolerance. On one CPU the worker and the
-	// replaying coordinator cannot pipeline — every batch handoff is a
-	// forced context switch — so the bar only means something with ≥2.
-	if procs := runtime.GOMAXPROCS(0); procs >= 2 {
-		if one, seq := measured["shards1"], measured["seq"]; one > seq*(1+benchTolerance) {
-			t.Errorf("shards1 sweep %.0f ns/op is %.0f%% over the plain sequential %.0f",
-				one, (one/seq-1)*100, seq)
-		}
-	} else {
-		t.Logf("skipping shards1 overhead assertion: only %d usable CPU(s)", procs)
 	}
 	if procs := runtime.GOMAXPROCS(0); procs >= 4 {
 		speedup := measured["seq"] / measured["workers4"]
@@ -365,4 +361,101 @@ func checkFilterEffect(t *testing.T, report map[string]any) {
 	}
 	t.Logf("movie-corpus filter hit rate: %.1f%% (%d of %d attempted)",
 		100*float64(res.Stats.FilteredOut)/float64(attempted), res.Stats.FilteredOut, attempted)
+}
+
+// benchMachine identifies the host a baseline was recorded on.
+type benchMachine struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPUModel   string `json:"cpu_model"`
+}
+
+func (m benchMachine) String() string {
+	return fmt.Sprintf("%s/%s, GOMAXPROCS=%d, %s", m.GOOS, m.GOARCH, m.GOMAXPROCS, m.CPUModel)
+}
+
+// hostMachine stamps the running host.
+func hostMachine() benchMachine {
+	model := "unknown"
+	if raw, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		model = parseCPUModel(string(raw))
+	}
+	return benchMachine{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, GOMAXPROCS: runtime.GOMAXPROCS(0), CPUModel: model}
+}
+
+// parseCPUModel returns the first "model name" of a /proc/cpuinfo
+// listing, or "unknown" when there is none (some architectures omit it).
+func parseCPUModel(cpuinfo string) string {
+	for _, line := range strings.Split(cpuinfo, "\n") {
+		k, v, ok := strings.Cut(line, ":")
+		if v = strings.TrimSpace(v); ok && strings.TrimSpace(k) == "model name" && v != "" {
+			return v
+		}
+	}
+	return "unknown"
+}
+
+// machineMismatch compares a baseline's stamp, as decoded from
+// BENCH_sxnm.json, with the host: "" when they match, otherwise the
+// message bench-check fails with. A missing or unreadable stamp never
+// matches.
+func machineMismatch(recorded any, host benchMachine) string {
+	from := "an unstamped host"
+	if raw, err := json.Marshal(recorded); recorded != nil && err == nil {
+		var m benchMachine
+		if json.Unmarshal(raw, &m) == nil && m != (benchMachine{}) {
+			if m == host {
+				return ""
+			}
+			from = m.String()
+		}
+	}
+	return fmt.Sprintf("baseline from %s, this host is %s; re-run make bench-baseline", from, host)
+}
+
+func TestBenchMachineStamp(t *testing.T) {
+	host := benchMachine{GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 2, CPUModel: "Example CPU @ 2.00GHz"}
+	// The stamp round-trips through the JSON baseline file.
+	raw, err := json.Marshal(map[string]any{benchMachineKey: host})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report map[string]any
+	if err := json.Unmarshal(raw, &report); err != nil {
+		t.Fatal(err)
+	}
+	if msg := machineMismatch(report[benchMachineKey], host); msg != "" {
+		t.Errorf("same host reported a mismatch: %s", msg)
+	}
+
+	other := host
+	other.GOMAXPROCS = 4
+	for _, tc := range []struct {
+		name     string
+		recorded any
+		from     string
+	}{
+		{"missing", nil, "an unstamped host"},
+		{"malformed", "not a stamp", "an unstamped host"},
+		{"empty", map[string]any{}, "an unstamped host"},
+		{"other host", other, other.String()},
+	} {
+		msg := machineMismatch(tc.recorded, host)
+		want := fmt.Sprintf("baseline from %s, this host is %s; re-run make bench-baseline", tc.from, host)
+		if msg != want {
+			t.Errorf("%s: got %q, want %q", tc.name, msg, want)
+		}
+	}
+
+	for _, tc := range []struct{ cpuinfo, want string }{
+		{"processor\t: 0\nvendor_id\t: GenuineIntel\nmodel name\t: Example CPU @ 2.00GHz\n\nprocessor\t: 1\nmodel name\t: Example CPU @ 2.00GHz\n", "Example CPU @ 2.00GHz"},
+		{"processor\t: 0\nBogoMIPS\t: 50.00\n", "unknown"},
+		{"model name\t:\n", "unknown"},
+		{"", "unknown"},
+	} {
+		if got := parseCPUModel(tc.cpuinfo); got != tc.want {
+			t.Errorf("parseCPUModel(%q) = %q, want %q", tc.cpuinfo, got, tc.want)
+		}
+	}
 }

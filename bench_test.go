@@ -430,7 +430,7 @@ func BenchmarkAblationKeyGenDOMvsStream(b *testing.B) {
 }
 
 // windowSweepCases is the flag matrix of the deterministic hot-path
-// speedups: the sequential baseline, the sharded pair pool at 4
+// speedups: the sequential baseline, the pair-worker pool at 4
 // workers, the similarity memo, and both combined. Every case computes
 // the exact same clusters (see internal/core's differential suite);
 // only ns/op may differ. Shared with the bench-regression guard in
@@ -468,33 +468,6 @@ func benchWindowSweep(b *testing.B, opts core.Options) {
 // speedup combination.
 func BenchmarkWindowSweep(b *testing.B) {
 	for _, c := range windowSweepCases {
-		b.Run(c.name, func(b *testing.B) { benchWindowSweep(b, c.opts) })
-	}
-}
-
-// shardSweepCases is the sharded-sweep matrix shared with the
-// bench-regression guard: shards=1 runs the full shard machinery —
-// planner, worker goroutine, batch channel, verdict replay — over a
-// single range, so its gap from the plain sequential sweep IS the
-// coordination overhead (guarded to ≤15% in bench_guard_test.go);
-// shards=4 is the scale-out shape, alone, with the in-shard pair pool,
-// and over the external-sort range readers. Every case computes the
-// exact same clusters (see TestDifferentialSharded); only ns/op may
-// differ.
-var shardSweepCases = []struct {
-	name string
-	opts core.Options
-}{
-	{"shards1", core.Options{Shards: 1}},
-	{"shards4", core.Options{Shards: 4}},
-	{"shards4+workers4", core.Options{Shards: 4, PairWorkers: 4}},
-	{"shards4+spill-256", core.Options{Shards: 4, SpillThresholdRows: 256}},
-}
-
-// BenchmarkWindowSweepSharded sweeps the 500-movie document through the
-// shard matrix.
-func BenchmarkWindowSweepSharded(b *testing.B) {
-	for _, c := range shardSweepCases {
 		b.Run(c.name, func(b *testing.B) { benchWindowSweep(b, c.opts) })
 	}
 }

@@ -68,7 +68,6 @@ func run(args []string) error {
 		trace   = fs.String("trace", "", "stream a JSONL span trace of every detection run to this file")
 		metrics = fs.String("metrics", "", "write the sweep's combined counters in Prometheus text format to this file")
 		workers = fs.Int("pair-workers", 0, "window-sweep comparison goroutines per pass (-1 = all cores, 0 = sequential, the paper's timing setup); results are identical")
-		shards  = fs.Int("shards", 0, "split each key pass into this many concurrently swept window ranges (-1 = one per core, 0 = off); results are identical")
 		cache   = fs.Bool("sim-cache", false, "memoize similarity computations per candidate (identical results, less CPU)")
 		spill   = fs.Int("spill-rows", 0, "external-sort candidates with more rows than this to disk (0 = always in memory); results are identical")
 		spillD  = fs.String("spill-dir", "", "directory for spill run files (default: a temp dir per run)")
@@ -89,7 +88,6 @@ func run(args []string) error {
 		Ctx:                ctx,
 		Limits:             core.Limits{MaxDepth: *depth, MaxNodes: *nodes, MaxComparisons: *cmps},
 		PairWorkers:        *workers,
-		Shards:             *shards,
 		SimCache:           *cache,
 		SpillThresholdRows: *spill,
 		SpillDir:           *spillD,

@@ -23,10 +23,8 @@
 //
 // Performance: -pair-workers N parallelizes the window sweep inside
 // each key pass (default: all cores; 0 restores the single-threaded
-// sweep), -shards N splits each pass's sorted table into N contiguous
-// ranges swept concurrently with window-sized halo overlap (-1 = one
-// per core), and -sim-cache memoizes similarity computations per
-// candidate (-sim-cache-size bounds it). All are answer-preserving:
+// sweep) and -sim-cache memoizes similarity computations per
+// candidate (-sim-cache-size bounds it). Both are answer-preserving:
 // clusters, statistics, checkpoints, and reports are byte-identical
 // to the sequential, uncached run.
 //
@@ -114,7 +112,6 @@ func run(args []string) error {
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof and /debug/vars on this address for the run's duration")
 		useFilter  = fs.Bool("filter", true, "threshold-aware comparison fast path: sketch bounds + banded edit distance skip hopeless pairs (identical clusters; skipped pairs count as filtered, not compared)")
 		pairWork   = fs.Int("pair-workers", -1, "window-sweep comparison goroutines per pass (-1 = all cores, 0 = sequential); results are identical either way")
-		shards     = fs.Int("shards", 0, "split each key pass into this many window ranges swept concurrently (-1 = one per core, 0 = off); results are identical either way")
 		simCache   = fs.Bool("sim-cache", false, "memoize similarity computations per candidate (identical results; helps on repetitive values and multi-key configs)")
 		simCacheN  = fs.Int("sim-cache-size", 0, "similarity cache capacity per candidate (0 = default)")
 		spillRows  = fs.Int("spill-rows", 0, "external-sort candidates with more rows than this instead of sorting in memory (0 = always in memory); results are identical either way")
@@ -157,7 +154,6 @@ func run(args []string) error {
 		Observer:           o.ob,
 		UseFilter:          *useFilter,
 		PairWorkers:        *pairWork,
-		Shards:             *shards,
 		SimCache:           *simCache,
 		SimCacheSize:       *simCacheN,
 		SpillThresholdRows: *spillRows,

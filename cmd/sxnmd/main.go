@@ -113,7 +113,6 @@ func run(args []string, ready chan<- string) error {
 		journalBytes = fs.Int64("journal-max-bytes", 1<<20, "per-job journal size soft cap; past it checkpoint-progress events are dropped (negative = unbounded)")
 
 		pairWork  = fs.Int("pair-workers", -1, "window-sweep goroutines per job (-1 = all cores, 0 = sequential)")
-		shards    = fs.Int("shards", 0, "split each key pass into this many concurrently swept window ranges (-1 = one per core, 0 = off)")
 		simCache  = fs.Bool("sim-cache", true, "share similarity memo caches across jobs of the same config")
 		simSize   = fs.Int("sim-cache-size", 0, "similarity cache capacity per candidate (0 = default)")
 		spillRows = fs.Int("spill-rows", 0, "external-sort candidates above this many GK rows (0 = in-memory)")
@@ -152,7 +151,6 @@ func run(args []string, ready chan<- string) error {
 		},
 		Engine: sxnm.Options{
 			PairWorkers:        *pairWork,
-			Shards:             *shards,
 			SimCache:           *simCache,
 			SimCacheSize:       *simSize,
 			SpillThresholdRows: *spillRows,

@@ -24,8 +24,8 @@ import (
 
 // pairWorkerMatrix is the worker axis from the issue: 0 = the plain
 // sequential loop, 1 = the batching machinery on a single worker,
-// 4/16 = real shard-boundary interleavings (16 > batch/shard sizes on
-// these corpora, forcing tiny uneven shards).
+// 4/16 = real chunk-boundary interleavings (16 > batch/chunk sizes on
+// these corpora, forcing tiny uneven chunks).
 var pairWorkerMatrix = []int{0, 1, 4, 16}
 
 // runSnapshot is one Detect run reduced to its observable bytes.
@@ -193,7 +193,7 @@ func differentialScenarios(t *testing.T) []differentialScenario {
 		// verdict path must merge identically too.
 		{name: "freedb-filter", doc: freedb.Generate(freedb.DefaultOptions(40, 3)),
 			cfg: mustValidate(t, cdConfig()), base: Options{UseFilter: true}},
-		// Adaptive windows: worker shards see data-dependent window
+		// Adaptive windows: worker chunks see data-dependent window
 		// extents.
 		{name: "movies-adaptive", doc: movies, cfg: mustValidate(t, adaptiveCfg), base: Options{}},
 	}

@@ -88,25 +88,9 @@ type Options struct {
 	// byte-identical to the sequential run (the differential suite in
 	// internal/core proves it). 0 (the zero value) runs the plain
 	// sequential loop; 1 runs the batching machinery on one worker;
-	// negative means one worker per available CPU.
+	// negative means one worker per available CPU (the plain loop when
+	// only one CPU is available).
 	PairWorkers int
-	// Shards splits each key pass's sorted GK order into that many
-	// contiguous ranges swept concurrently. Each shard reads its owned
-	// range plus a halo of the preceding window-1 rows (widened to the
-	// adaptive cap) so boundary windows see full context; halo rows are
-	// never swept by the reading shard — every window pair is owned by
-	// exactly one shard, keyed by its current (right-hand) row. Shard
-	// event streams are replayed on the coordinating goroutine in
-	// global window order, so every observable — clusters, Stats,
-	// checkpoints, PairObserver calls, interrupted partial results — is
-	// byte-identical to the unsharded run (the differential suite in
-	// internal/core proves it). 0 (the zero value) disables sharding;
-	// 1 runs the full shard machinery over a single range (the
-	// differential anchor); negative means one shard per available CPU.
-	// Composes with PairWorkers (each shard runs its own pair-worker
-	// pool) and with spilling (shards range-read one shared external
-	// sort).
-	Shards int
 	// SimCache memoizes similarity computations per candidate, shared
 	// across that candidate's key passes: value-pair scores for the
 	// Def. 2 OD fields (LRU-bounded) and interned descendant cluster-ID
@@ -322,15 +306,6 @@ func DetectContext(ctx context.Context, kg *KeyGenResult, cfg *config.Config, op
 	// retroactively waived by the forced value.
 	if opts.SpillThresholdRows == 0 && forcedSpillThreshold > 0 {
 		opts.SpillThresholdRows = forcedSpillThreshold
-	}
-	// The smallshard build tag likewise forces sharded sweeps (the
-	// planner clamps the huge forced count to one row per shard); an
-	// explicit caller choice always wins.
-	if opts.Shards == 0 && forcedShardCount != 0 {
-		opts.Shards = forcedShardCount
-	}
-	if n := opts.shardCount(); n > 0 && m != nil {
-		m.ShardCount.Store(int64(n))
 	}
 	if opts.SpillThresholdRows > 0 {
 		st := newSpillState(opts, m)
@@ -711,47 +686,42 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 	// tracks the pass being merged: the sweeper is always drained before
 	// a pass ends, so buffered verdicts never cross a pass boundary.
 	curPass := startPass
-	// mergeVerdict is the ordered half of one pair comparison: counters,
-	// observer callback, and the duplicate pair list. The sequential
-	// sweeper merges through it directly; the sharded sweep replays
-	// shard events through the same function in the same global order.
-	mergeVerdict := func(v *pairVerdict) error {
-		if v.err != nil {
-			return v.err
-		}
-		if v.filtered {
-			cstats.FilteredOut++
-		} else {
-			cstats.Comparisons++
-			odCalls++
-		}
-		if useDesc {
-			descCalls++
-		}
-		if opts.PairObserver != nil {
-			opts.PairObserver(PairObservation{
-				Candidate: cand.Name,
-				KeyIndex:  curPass,
-				A:         minInt(v.a.EID, v.b.EID),
-				B:         maxInt(v.a.EID, v.b.EID),
-				ODSim:     v.odSim,
-				DescSim:   v.descSim,
-				HasDesc:   v.hasDesc,
-				Duplicate: v.dup,
-				Filtered:  v.filtered,
-			})
-		}
-		if v.dup {
-			pairs = append(pairs, cluster.MakePair(v.a.EID, v.b.EID))
-		}
-		return nil
-	}
 	sw := newSweeper(opts.pairWorkerCount(),
 		func(v *pairVerdict) {
 			v.odSim, v.descSim, v.hasDesc, v.dup, v.filtered, v.err =
 				comparePair(t, v.a, v.b, useDesc, opts, cache)
 		},
-		mergeVerdict)
+		func(v *pairVerdict) error {
+			if v.err != nil {
+				return v.err
+			}
+			if v.filtered {
+				cstats.FilteredOut++
+			} else {
+				cstats.Comparisons++
+				odCalls++
+			}
+			if useDesc {
+				descCalls++
+			}
+			if opts.PairObserver != nil {
+				opts.PairObserver(PairObservation{
+					Candidate: cand.Name,
+					KeyIndex:  curPass,
+					A:         minInt(v.a.EID, v.b.EID),
+					B:         maxInt(v.a.EID, v.b.EID),
+					ODSim:     v.odSim,
+					DescSim:   v.descSim,
+					HasDesc:   v.hasDesc,
+					Duplicate: v.dup,
+					Filtered:  v.filtered,
+				})
+			}
+			if v.dup {
+				pairs = append(pairs, cluster.MakePair(v.a.EID, v.b.EID))
+			}
+			return nil
+		})
 
 	// The ring keeps exactly the trailing rows a window can revisit:
 	// the base window, widened to the adaptive cap when adaptive
@@ -776,16 +746,6 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 	var order []int
 	if spiller == nil {
 		order = make([]int, len(t.Rows))
-	}
-	nShards := opts.shardCount()
-	var env *shardEnv
-	if nShards > 0 {
-		env = &shardEnv{
-			t: t, cand: cand, opts: opts, cache: cache, useDesc: useDesc,
-			w: w, keep: keep, spiller: spiller, order: order,
-			bud: bud, m: m, cstats: cstats, compared: compared,
-			flushObs: flushObs, merge: mergeVerdict,
-		}
 	}
 	for pass := startPass; pass < len(keys); pass++ {
 		curPass = pass
@@ -816,19 +776,7 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 			flush(pass)
 			return nil, cstats, &interruptError{cause: cause, phase: PhaseSlidingWindow, pass: pass}
 		}
-		if nShards > 0 {
-			// Sharded sweep: workers enumerate and compare their ranges,
-			// the coordinator replays the concatenated event streams in
-			// global window order. On any error the coordinator sweeper is
-			// empty and src is nil, so interruptPass degrades to the plain
-			// drain-free accounting sequence.
-			if err := runShardedPass(env, k, nShards, swSpan, passSpan); err != nil {
-				if isInterruption(err) {
-					return interruptPass(err)
-				}
-				return nil, nil, err
-			}
-		} else if spiller != nil {
+		if spiller != nil {
 			// The external sort does real I/O before the first pair is
 			// enumerated; check the budget around it so deadlines and
 			// cancellation interrupt a spilling pass about as fast as an
@@ -855,60 +803,58 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 			})
 			src = &memSource{t: t, order: order}
 		}
-		if nShards == 0 {
-			i := -1
-			for {
-				row, err := src.next()
-				if err != nil {
+		i := -1
+		for {
+			row, err := src.next()
+			if err != nil {
+				src.close()
+				return nil, nil, err
+			}
+			if row == nil {
+				break
+			}
+			i++
+			ring.push(i, row)
+			if i == 0 {
+				continue
+			}
+			lo := i - (w - 1)
+			if lo < 0 {
+				lo = 0
+			}
+			if cand.AdaptiveKeySim > 0 {
+				lo = adaptiveLow(ring, row, i, lo, k, cand)
+			}
+			for j := lo; j < i; j++ {
+				a, b := ring.at(j), row
+				cstats.WindowPairs++
+				if m != nil && cstats.WindowPairs&0xFFF == 0 {
+					flushObs()
+				}
+				if err := bud.poll(cstats.WindowPairs); err != nil {
+					return interruptPass(err)
+				}
+				key := packPair(a.EID, b.EID)
+				if _, seen := compared[key]; seen {
+					continue
+				}
+				compared[key] = struct{}{}
+				if err := bud.addComparison(); err != nil {
+					return interruptPass(err)
+				}
+				if err := sw.add(a, b); err != nil {
 					src.close()
 					return nil, nil, err
 				}
-				if row == nil {
-					break
-				}
-				i++
-				ring.push(i, row)
-				if i == 0 {
-					continue
-				}
-				lo := i - (w - 1)
-				if lo < 0 {
-					lo = 0
-				}
-				if cand.AdaptiveKeySim > 0 {
-					lo = adaptiveLow(ring, row, i, lo, k, cand)
-				}
-				for j := lo; j < i; j++ {
-					a, b := ring.at(j), row
-					cstats.WindowPairs++
-					if m != nil && cstats.WindowPairs&0xFFF == 0 {
-						flushObs()
-					}
-					if err := bud.poll(cstats.WindowPairs); err != nil {
-						return interruptPass(err)
-					}
-					key := packPair(a.EID, b.EID)
-					if _, seen := compared[key]; seen {
-						continue
-					}
-					compared[key] = struct{}{}
-					if err := bud.addComparison(); err != nil {
-						return interruptPass(err)
-					}
-					if err := sw.add(a, b); err != nil {
-						src.close()
-						return nil, nil, err
-					}
-				}
 			}
-			if err := src.close(); err != nil {
-				return nil, nil, err
-			}
-			// Drain before the pass is accounted: verdicts of buffered pairs
-			// belong to this pass's span, checkpoint, and counters.
-			if err := sw.finish(); err != nil {
-				return nil, nil, err
-			}
+		}
+		if err := src.close(); err != nil {
+			return nil, nil, err
+		}
+		// Drain before the pass is accounted: verdicts of buffered pairs
+		// belong to this pass's span, checkpoint, and counters.
+		if err := sw.finish(); err != nil {
+			return nil, nil, err
 		}
 		endPass(passSpan, false)
 		// A completed pass is a durable resume point; the final pass is
@@ -953,50 +899,12 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 		}
 		uf.Add(t.Rows[i].EID)
 	}
-	if nShards > 1 && len(pairs) > 1 {
-		// Sharded closure: contiguous pair chunks union in parallel and
-		// fold through the order-independent cluster.Merge; Build's
-		// canonical CID assignment makes the folded result identical to
-		// the sequential union loop.
-		s := nShards
-		if s > len(pairs) {
-			s = len(pairs)
+	for _, p := range pairs {
+		tcIter++
+		if err := bud.poll(tcIter); err != nil {
+			return tcInterrupt(err)
 		}
-		parts := make([]*cluster.UnionFind, s)
-		panics := make([]any, s)
-		var wg sync.WaitGroup
-		for ci := 0; ci < s; ci++ {
-			lo, hi := len(pairs)*ci/s, len(pairs)*(ci+1)/s
-			wg.Add(1)
-			go func(ci, lo, hi int) {
-				defer wg.Done()
-				defer func() { panics[ci] = recover() }()
-				p := cluster.NewUnionFind()
-				for _, pr := range pairs[lo:hi] {
-					p.Add(pr.A)
-					p.Add(pr.B)
-					p.Union(pr.A, pr.B)
-				}
-				parts[ci] = p
-			}(ci, lo, hi)
-		}
-		wg.Wait()
-		for _, r := range panics {
-			if r != nil {
-				panic(r)
-			}
-		}
-		for _, p := range parts {
-			uf = cluster.Merge(uf, p)
-		}
-	} else {
-		for _, p := range pairs {
-			tcIter++
-			if err := bud.poll(tcIter); err != nil {
-				return tcInterrupt(err)
-			}
-			uf.Union(p.A, p.B)
-		}
+		uf.Union(p.A, p.B)
 	}
 	cs := cluster.Build(uf)
 	cstats.TransitiveClosure = time.Since(tcStart)

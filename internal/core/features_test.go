@@ -71,8 +71,8 @@ func TestFilterSkipsHopelessPairs(t *testing.T) {
 func TestFilterDisabledUnderCustomRule(t *testing.T) {
 	doc := mustDoc(t, typoMoviesXML)
 	cfg := mustValidate(t, movieConfig(config.RuleCombined))
-	// The rule runs on the sweep's worker goroutines when passes are
-	// sharded.
+	// Counted atomically: with PairWorkers set, the rule runs on the
+	// sweep's worker goroutines.
 	var calls atomic.Int64
 	res, err := Run(doc, cfg, Options{
 		UseFilter: true,

@@ -503,28 +503,23 @@ func (c *candSpiller) config(pass int) extsort.Config[*GKRow] {
 	}
 }
 
-// wrapSpill contextualizes a spill error with the candidate and pass.
-func (c *candSpiller) wrapSpill(pass int, err error) error {
-	return fmt.Errorf("core: candidate %q: spill pass %d: %w", c.t.Candidate.Name, pass, err)
-}
-
-// runsFor resolves one key pass's sorted run files without committing
-// to a single reader: fingerprinted runs from the manifest are reused
-// when they open cleanly, anything else sorts and spills afresh. The
-// sequential sweep opens one full merge over the result; the sharded
-// sweep opens one range reader per shard over the same files, so the
-// sort happens exactly once either way. Spill work is accounted to
-// obs metrics and a spill span only — Stats never sees it, keeping
-// spilled and in-memory Stats byte-identical.
-func (c *candSpiller) runsFor(pass int, parent *obs.Span, bud *budget) (extsort.Config[*GKRow], []extsort.RunFile, error) {
+// source externally sorts one key pass (or reuses fingerprinted runs
+// from an earlier process) and returns the merged row stream. Spill
+// work is accounted to obs metrics and a spill span only — Stats never
+// sees it, keeping spilled and in-memory Stats byte-identical.
+func (c *candSpiller) source(pass int, parent *obs.Span, bud *budget) (rowSource, error) {
+	wrap := func(err error) error {
+		return fmt.Errorf("core: candidate %q: spill pass %d: %w", c.t.Candidate.Name, pass, err)
+	}
 	start := time.Now()
 	if err := c.st.ensure(); err != nil {
-		return extsort.Config[*GKRow]{}, nil, c.wrapSpill(pass, err)
+		return nil, wrap(err)
 	}
 	cfg := c.config(pass)
 	key := fmt.Sprintf("%s/p%d", c.prefix, pass)
 	fp := c.fingerprint()
 
+	var it *extsort.Iterator[*GKRow]
 	var runs []extsort.RunFile
 	reused := false
 	if ent := c.st.lookup(key); ent != nil && ent.Fingerprint == fp && ent.Rows == len(c.t.Rows) {
@@ -532,14 +527,13 @@ func (c *candSpiller) runsFor(pass int, parent *obs.Span, bud *budget) (extsort.
 		// fresh sort; corruption discovered while streaming, after this
 		// point, is a hard typed error like any other read.
 		if m, err := extsort.MergeRuns(cfg, ent.Runs); err == nil {
-			m.Close()
-			runs, reused = ent.Runs, true
+			it, runs, reused = m, ent.Runs, true
 		}
 	}
-	if runs == nil {
+	if it == nil {
 		srt, err := extsort.New(cfg)
 		if err != nil {
-			return cfg, nil, c.wrapSpill(pass, err)
+			return nil, wrap(err)
 		}
 		for i := range c.t.Rows {
 			// The sort spills to disk as it goes; poll so deadlines and
@@ -552,18 +546,18 @@ func (c *candSpiller) runsFor(pass int, parent *obs.Span, bud *budget) (extsort.
 			if bud != nil {
 				if err := bud.poll(i + 1); err != nil {
 					srt.Discard()
-					return cfg, nil, err
+					return nil, err
 				}
 			}
 			if err := srt.Add(&c.t.Rows[i]); err != nil {
 				srt.Discard()
-				return cfg, nil, c.wrapSpill(pass, err)
+				return nil, wrap(err)
 			}
 		}
-		runs, err = srt.Finish()
+		it, runs, err = srt.Merge()
 		if err != nil {
 			srt.Discard()
-			return cfg, nil, c.wrapSpill(pass, err)
+			return nil, wrap(err)
 		}
 		c.st.record(key, &spillEntry{
 			Candidate: c.t.Candidate.Name, Pass: pass, Rows: len(c.t.Rows),
@@ -590,34 +584,6 @@ func (c *candSpiller) runsFor(pass int, parent *obs.Span, bud *budget) (extsort.
 		obs.Int64(obs.AttrSpillBytes, bytes),
 		obs.Bool(obs.AttrSpillReused, reused)); sp != nil {
 		sp.End()
-	}
-	return cfg, runs, nil
-}
-
-// source externally sorts one key pass (or reuses fingerprinted runs
-// from an earlier process) and returns the merged row stream.
-func (c *candSpiller) source(pass int, parent *obs.Span, bud *budget) (rowSource, error) {
-	cfg, runs, err := c.runsFor(pass, parent, bud)
-	if err != nil {
-		return nil, err
-	}
-	it, err := extsort.MergeRuns(cfg, runs)
-	if err != nil {
-		return nil, c.wrapSpill(pass, err)
-	}
-	return &spillSource{c: c, it: it}, nil
-}
-
-// rangeSource opens a row stream over the merged slice [lo, hi) of
-// already-resolved runs — one shard's halo-plus-owned extent. Each
-// shard holds its own iterator (and decodes its own row copies), so
-// concurrent shards never share mutable state; decode-time derivation
-// (descendant resolution, interning, sketches) is per-row and backed
-// by concurrency-safe structures.
-func (c *candSpiller) rangeSource(cfg extsort.Config[*GKRow], runs []extsort.RunFile, pass int, lo, hi int64) (rowSource, error) {
-	it, err := extsort.MergeRunsRange(cfg, runs, lo, hi)
-	if err != nil {
-		return nil, c.wrapSpill(pass, err)
 	}
 	return &spillSource{c: c, it: it}, nil
 }

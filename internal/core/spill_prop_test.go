@@ -114,17 +114,18 @@ func propClusters(t *testing.T, doc *xmltree.Document, cfg *config.Config, opts 
 	return out
 }
 
-// spillDisagrees reports whether the spilled and in-memory paths
-// disagree on a corpus — the property under test, factored out so the
-// shrink loop can re-ask it for smaller corpora.
-func spillDisagrees(t *testing.T, c propCorpus, threshold int) (string, bool) {
+// spillDisagrees reports whether the spilled run (opts) and the plain
+// in-memory sequential run disagree on a corpus — the property under
+// test, factored out so the shrink loop can re-ask it for smaller
+// corpora.
+func spillDisagrees(t *testing.T, c propCorpus, opts core.Options) (string, bool) {
 	t.Helper()
 	doc, cfg, err := c.gen(c.n, c.seed)
 	if err != nil {
 		t.Fatalf("%s: generate: %v", c.label(), err)
 	}
 	mem := propClusters(t, doc, cfg, core.Options{})
-	spl := propClusters(t, doc, cfg, core.Options{SpillThresholdRows: threshold})
+	spl := propClusters(t, doc, cfg, opts)
 	for name, want := range mem {
 		if spl[name] != want {
 			return fmt.Sprintf("candidate %q: in-memory %s, spilled %s", name, want, spl[name]), true
@@ -138,9 +139,11 @@ func spillDisagrees(t *testing.T, c propCorpus, threshold int) (string, bool) {
 
 // TestSpillPropertyRandomCorpora is the randomized half of the
 // equivalence proof: ~50 (generator, size, seed) corpora, each checked
-// with a seed-derived spill threshold. A failure is shrunk to the
-// smallest reproducing size before reporting, so the log always names a
-// minimal (kind, n, seed, threshold) repro.
+// with a seed-derived spill threshold and PairWorkers count (inline,
+// one batching worker, two workers, one per CPU), so spilled streams
+// also feed the pair-worker pool. A failure is shrunk to the smallest
+// reproducing size before reporting, so the log always names a minimal
+// (kind, n, seed, threshold, workers) repro.
 func TestSpillPropertyRandomCorpora(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized corpus sweep skipped in -short mode")
@@ -161,8 +164,11 @@ func TestSpillPropertyRandomCorpora(t *testing.T) {
 		t.Fatalf("only %d corpora generated", len(corpora))
 	}
 	for _, c := range corpora {
-		threshold := 1 + int(c.seed)%7
-		msg, bad := spillDisagrees(t, c, threshold)
+		opts := core.Options{
+			SpillThresholdRows: 1 + int(c.seed)%7,
+			PairWorkers:        [...]int{0, 1, 2, -1}[c.seed%4],
+		}
+		msg, bad := spillDisagrees(t, c, opts)
 		if !bad {
 			continue
 		}
@@ -172,13 +178,13 @@ func TestSpillPropertyRandomCorpora(t *testing.T) {
 		for n := 1; n < c.n; n++ {
 			small := c
 			small.n = n
-			if m, b := spillDisagrees(t, small, threshold); b {
+			if m, b := spillDisagrees(t, small, opts); b {
 				min, minMsg = small, m
 				break
 			}
 		}
-		t.Fatalf("spilled path diverged; minimal repro %s threshold=%d:\n%s",
-			min.label(), threshold, minMsg)
+		t.Fatalf("spilled path diverged; minimal repro %s threshold=%d workers=%d:\n%s",
+			min.label(), opts.SpillThresholdRows, opts.PairWorkers, minMsg)
 	}
 }
 

@@ -9,13 +9,14 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Edge cases of the sharded window sweep: shard arithmetic must stay
-// correct when the window swallows the whole table, when there is
-// nothing (or only one row) to sweep, and when runs of identical sort
-// keys straddle worker-shard and batch boundaries.
+// Edge cases of the pair-worker window sweep: the per-worker chunk
+// arithmetic must stay correct when the window swallows the whole
+// table, when there is nothing (or only one row) to sweep, and when
+// runs of identical sort keys straddle worker-chunk and batch
+// boundaries.
 
 // sweepCombos is the worker × cache grid the edge tests exercise; 16
-// workers over a handful of rows forces empty and single-pair shards.
+// workers over a handful of rows forces empty and single-pair chunks.
 func sweepCombos() []Options {
 	var combos []Options
 	for _, w := range pairWorkerMatrix {
@@ -96,10 +97,10 @@ func TestSweepEmptyTable(t *testing.T) {
 
 // duplicateKeyDoc builds a corpus whose sort keys form two long runs
 // of identical values (hundreds of rows each, well past pairBatchSize
-// shard fractions), so equal-key neighbors straddle every worker-shard
+// chunk fractions), so equal-key neighbors straddle every worker-chunk
 // boundary. sort.SliceStable plus the EID tiebreak must keep the pair
 // stream — and therefore the verdict merge — identical regardless of
-// sharding.
+// how a batch is chunked.
 func duplicateKeyDoc(t *testing.T, perGroup int) *xmltree.Document {
 	t.Helper()
 	var b strings.Builder
@@ -115,7 +116,7 @@ func duplicateKeyDoc(t *testing.T, perGroup int) *xmltree.Document {
 	return mustDoc(t, b.String())
 }
 
-func TestSweepDuplicateKeysAcrossShards(t *testing.T) {
+func TestSweepDuplicateKeysAcrossChunks(t *testing.T) {
 	doc := duplicateKeyDoc(t, 300)
 	cfg := singleKeyConfig(6)
 	cfg.Candidates[0].Paths = append(cfg.Candidates[0].Paths,

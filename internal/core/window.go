@@ -13,10 +13,11 @@ import (
 // list that feeds checkpoints and transitive closure — stays on the
 // enumerating goroutine. Only the pure pair comparison (Defs. 2 and 3
 // plus classification, a function of the two rows alone) fans out:
-// pairs are buffered into batches, a batch is sharded across workers,
-// and the verdicts are merged back in enumeration order. The merge
-// order makes every observable — clusters, Stats, spans, checkpoints,
-// pair observations — byte-identical to the sequential run.
+// pairs are buffered into batches, a batch is split into one chunk per
+// worker, and the verdicts are merged back in enumeration order. The
+// merge order makes every observable — clusters, Stats, spans,
+// checkpoints, pair observations — byte-identical to the sequential
+// run.
 
 // pairBatchSize is how many window pairs are buffered before the
 // worker pool runs them. Large enough to amortize goroutine wake-ups,
@@ -25,13 +26,9 @@ import (
 const pairBatchSize = 2048
 
 // pairVerdict carries one window pair through the compare stage: the
-// rows going in, the comparison outcome coming out. skip marks a pair
-// the producer already knows was compared (a sharded sweep checking
-// its compared-set snapshot): the compare stage leaves it untouched
-// and the consumer replays only its enumeration bookkeeping.
+// rows going in, the comparison outcome coming out.
 type pairVerdict struct {
 	a, b     *GKRow
-	skip     bool
 	odSim    float64
 	descSim  float64
 	hasDesc  bool
@@ -66,13 +63,6 @@ type sweeper struct {
 	compare func(*pairVerdict)
 	merge   func(*pairVerdict) error
 	batch   []pairVerdict
-	// shipPanics delivers a worker panic to merge as verdict data
-	// (v.panicked set) instead of re-raising it here. Shard workers set
-	// it: their enumerating goroutine has no candidate-level recover, so
-	// the panic must travel to the coordinator as an event and re-raise
-	// at its replay position. The inline workers==0 path then also runs
-	// compare through compareSafe, for the same reason.
-	shipPanics bool
 }
 
 func newSweeper(workers int, compare func(*pairVerdict), merge func(*pairVerdict) error) *sweeper {
@@ -87,22 +77,12 @@ func newSweeper(workers int, compare func(*pairVerdict), merge func(*pairVerdict
 // fills. An error is a hard comparison error already merged in order;
 // the caller aborts exactly as the sequential loop would.
 func (s *sweeper) add(a, b *GKRow) error {
-	return s.addVerdict(pairVerdict{a: a, b: b})
-}
-
-// addVerdict is add for a caller-constructed verdict — the sharded
-// sweep uses it to feed pre-marked skip pairs through the same
-// batching machinery.
-func (s *sweeper) addVerdict(v pairVerdict) error {
 	if s.workers == 0 {
-		if s.shipPanics {
-			s.compareSafe(&v)
-		} else {
-			s.compare(&v)
-		}
+		v := pairVerdict{a: a, b: b}
+		s.compare(&v)
 		return s.merge(&v)
 	}
-	s.batch = append(s.batch, v)
+	s.batch = append(s.batch, pairVerdict{a: a, b: b})
 	if len(s.batch) >= pairBatchSize {
 		return s.flush()
 	}
@@ -126,7 +106,7 @@ func (s *sweeper) flush() error {
 		workers = n
 	}
 	if workers > 1 {
-		// Contiguous shards, one per worker: pair comparison cost is
+		// Contiguous chunks, one per worker: pair comparison cost is
 		// roughly uniform, so equal-size ranges balance well without the
 		// contention of a shared index.
 		var wg sync.WaitGroup
@@ -147,16 +127,15 @@ func (s *sweeper) flush() error {
 		}
 	}
 	// Merge in enumeration order. A panic re-raises at the position the
-	// sequential run would have panicked (unless shipPanics hands it to
-	// merge as data); an error stops the merge at the position the
-	// sequential run would have returned it.
+	// sequential run would have panicked; an error stops the merge at
+	// the position the sequential run would have returned it.
 	var err error
 	for i := range s.batch {
 		v := &s.batch[i]
 		if err != nil {
 			break
 		}
-		if v.panicked != nil && !s.shipPanics {
+		if v.panicked != nil {
 			s.batch = s.batch[:0]
 			panic(v.panicked)
 		}
@@ -183,11 +162,18 @@ func workerStack() []byte {
 	return buf[:runtime.Stack(buf, false)]
 }
 
-// pairWorkerCount resolves Options.PairWorkers: negative means one
-// worker per available CPU, 0 means the sequential inline path.
+// pairWorkerCount resolves Options.PairWorkers: 0 means the sequential
+// inline path, negative means one worker per available CPU. With a
+// single CPU a negative count resolves to the inline path too: one
+// worker has nothing to parallelize and would only add a batch copy
+// and a recover per pair. An explicit 1 keeps the batching machinery
+// (the differential anchor).
 func (o *Options) pairWorkerCount() int {
 	if o.PairWorkers < 0 {
-		return runtime.GOMAXPROCS(0)
+		if n := runtime.GOMAXPROCS(0); n >= 2 {
+			return n
+		}
+		return 0
 	}
 	return o.PairWorkers
 }

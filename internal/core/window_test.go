@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -119,5 +120,30 @@ func TestMultiPassDedup(t *testing.T) {
 	}
 	if st.WindowPairs != 3*want {
 		t.Errorf("window pairs = %d, want %d", st.WindowPairs, 3*want)
+	}
+}
+
+// TestPairWorkerCountResolution pins how Options.PairWorkers resolves:
+// a negative count (the CLI default) follows GOMAXPROCS but falls back
+// to the inline path on one CPU, where a pool has nothing to run in
+// parallel; explicit counts, 1 included, are taken as given.
+func TestPairWorkerCountResolution(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct{ procs, workers, want int }{
+		{1, -1, 0},
+		{1, 0, 0},
+		{1, 1, 1},
+		{1, 4, 4},
+		{2, -1, 2},
+		{4, -1, 4},
+		{4, 0, 0},
+		{4, 1, 1},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		o := Options{PairWorkers: tc.workers}
+		if got := o.pairWorkerCount(); got != tc.want {
+			t.Errorf("GOMAXPROCS=%d PairWorkers=%d: resolved %d workers, want %d",
+				tc.procs, tc.workers, got, tc.want)
+		}
 	}
 }

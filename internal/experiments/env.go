@@ -22,19 +22,18 @@ import (
 // An Observer, when set, traces and counts every detection run of the
 // sweep through one shared metric set — useful to watch a paper-scale
 // experiment progress and to profile where its time goes.
-// PairWorkers, Shards, and SimCache speed up the window sweeps; all
-// are answer-preserving (identical clusters and counters), so
-// reproduced accuracy figures are unaffected — only the timing columns
-// of the scalability experiments change meaning (wall clock vs.
-// single-core). SpillThresholdRows and SpillDir bound detection memory
-// by external-sorting oversized candidates to disk; the spill path is
+// PairWorkers and SimCache speed up the window sweeps; both are
+// answer-preserving (identical clusters and counters), so reproduced
+// accuracy figures are unaffected — only the timing columns of the
+// scalability experiments change meaning (wall clock vs. single-core).
+// SpillThresholdRows and SpillDir bound detection memory by
+// external-sorting oversized candidates to disk; the spill path is
 // answer-preserving too.
 type RunEnv struct {
 	Ctx                context.Context
 	Limits             core.Limits
 	Observer           *obs.Observer
 	PairWorkers        int
-	Shards             int
 	SimCache           bool
 	SpillThresholdRows int
 	SpillDir           string
@@ -53,7 +52,6 @@ func (e RunEnv) Run(doc *xmltree.Document, cfg *config.Config, opts core.Options
 	opts.Limits = e.Limits
 	opts.Observer = e.Observer
 	opts.PairWorkers = e.PairWorkers
-	opts.Shards = e.Shards
 	opts.SimCache = e.SimCache
 	opts.SpillThresholdRows = e.SpillThresholdRows
 	opts.SpillDir = e.SpillDir

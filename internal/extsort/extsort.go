@@ -255,37 +255,24 @@ func (s *Sorter[T]) writeRun(name string) (RunFile, error) {
 	return RunFile{Name: name, Records: int64(len(s.buf)), CRC: crc.Sum32(), Bytes: cw.n}, nil
 }
 
-// Finish spills any buffered tail as a final run and returns the run
-// metadata without opening a merge. Callers that want several
-// independent readers over the same sort — range readers for sharded
-// sweeps, say — Finish once and then open each reader with MergeRuns
-// or MergeRunsRange. The Sorter must not be Added to afterwards.
-func (s *Sorter[T]) Finish() ([]RunFile, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	if len(s.buf) > 0 {
-		if err := s.spill(); err != nil {
-			return nil, err
-		}
-	}
-	return s.runs, nil
-}
-
 // Merge spills any buffered tail as a final run and returns an
 // Iterator merging every run, plus the run metadata a caller may
 // record in a manifest for later MergeRuns reuse. The Sorter must not
 // be Added to afterwards.
 func (s *Sorter[T]) Merge() (*Iterator[T], []RunFile, error) {
-	runs, err := s.Finish()
+	if s.err != nil {
+		return nil, nil, s.err
+	}
+	if len(s.buf) > 0 {
+		if err := s.spill(); err != nil {
+			return nil, nil, err
+		}
+	}
+	it, err := MergeRuns(s.cfg, s.runs)
 	if err != nil {
 		return nil, nil, err
 	}
-	it, err := MergeRuns(s.cfg, runs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return it, runs, nil
+	return it, s.runs, nil
 }
 
 // Stats returns the spill counters accumulated so far.
@@ -347,49 +334,6 @@ func MergeRuns[T any](cfg Config[T], runs []RunFile) (*Iterator[T], error) {
 	return it, nil
 }
 
-// MergeRunsRange opens the same k-way merge as MergeRuns but yields
-// only the half-open slice [lo, hi) of the merged record sequence —
-// the primitive that lets shards of one sorted table stream their row
-// ranges from a single set of run files without rematerializing the
-// sort. The skipped prefix is still framed, CRC-checked, decoded, and
-// order-verified record by record (integrity is not range-dependent);
-// the one verification a range reader gives up is the footer of any
-// run it never drains — stopping early is the point, and the full-pass
-// reader over the same runs still checks every footer. The range is
-// validated against the manifest record counts; an out-of-bounds or
-// inverted range is an error, not a clamp.
-func MergeRunsRange[T any](cfg Config[T], runs []RunFile, lo, hi int64) (*Iterator[T], error) {
-	var total int64
-	for _, rf := range runs {
-		total += rf.Records
-	}
-	if lo < 0 || hi < lo || hi > total {
-		return nil, fmt.Errorf("extsort: invalid merge range [%d, %d) over %d records", lo, hi, total)
-	}
-	it, err := MergeRuns(cfg, runs)
-	if err != nil {
-		return nil, err
-	}
-	for skipped := int64(0); skipped < lo; skipped++ {
-		_, ok, err := it.Next()
-		if err != nil {
-			it.Close()
-			return nil, err
-		}
-		if !ok {
-			// Unreachable unless a run holds fewer records than its
-			// verified manifest entry claims; surface it as corruption
-			// rather than a silent short range.
-			it.Close()
-			return nil, &CorruptError{Path: cfg.Dir, Reason: fmt.Sprintf(
-				"merged stream ended after %d records, manifest promised %d", skipped, total)}
-		}
-	}
-	it.limited = true
-	it.remain = hi - lo
-	return it, nil
-}
-
 // heapEntry is one merge-heap slot: the head record of source src.
 type heapEntry[T any] struct {
 	rec T
@@ -404,10 +348,6 @@ type Iterator[T any] struct {
 	h      []heapEntry[T]
 	err    error
 	closed bool
-	// limited/remain implement MergeRunsRange: when limited, Next ends
-	// the stream cleanly once remain records have been yielded.
-	limited bool
-	remain  int64
 }
 
 // entryLess is the heap order: Less on records, run index on ties —
@@ -459,9 +399,6 @@ func (it *Iterator[T]) Next() (T, bool, error) {
 	if it.err != nil {
 		return zero, false, it.err
 	}
-	if it.limited && it.remain == 0 {
-		return zero, false, nil
-	}
 	if len(it.h) == 0 {
 		return zero, false, nil
 	}
@@ -480,9 +417,6 @@ func (it *Iterator[T]) Next() (T, bool, error) {
 	}
 	if len(it.h) > 0 {
 		it.down(0)
-	}
-	if it.limited {
-		it.remain--
 	}
 	return top.rec, true, nil
 }

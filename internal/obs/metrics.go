@@ -64,15 +64,6 @@ type Metrics struct {
 	SpillBytesRead    atomic.Int64
 	SpillWallNanos    atomic.Int64
 
-	// Sharded sliding-window path (Options.Shards). ShardCount is the
-	// resolved shard count gauge (0 = unsharded); sweeps count per-shard
-	// sweep executions across passes; halo dedup counts window pairs a
-	// shard skipped because they fall wholly inside its halo and belong
-	// to the preceding shard.
-	ShardCount       atomic.Int64
-	ShardSweeps      atomic.Int64
-	HaloPairsDeduped atomic.Int64
-
 	// Resume provenance.
 	ResumedCandidates atomic.Int64 // candidates adopted from a checkpoint
 	ResumedPairs      atomic.Int64 // duplicate pairs seeded from a checkpoint
@@ -176,9 +167,6 @@ type Snapshot struct {
 	SpillBytesWritten   int64   `json:"spill_bytes_written"`
 	SpillBytesRead      int64   `json:"spill_bytes_read"`
 	SpillWallSeconds    float64 `json:"spill_wall_seconds"`
-	ShardCount          int64   `json:"shard_count"`
-	ShardSweeps         int64   `json:"shard_sweeps"`
-	HaloPairsDeduped    int64   `json:"halo_pairs_deduped"`
 	ResumedCandidates   int64   `json:"resumed_candidates"`
 	ResumedPairs        int64   `json:"resumed_pairs"`
 	ElapsedSeconds      float64 `json:"elapsed_seconds"`
@@ -217,9 +205,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		SpillBytesWritten:   m.SpillBytesWritten.Load(),
 		SpillBytesRead:      m.SpillBytesRead.Load(),
 		SpillWallSeconds:    time.Duration(m.SpillWallNanos.Load()).Seconds(),
-		ShardCount:          m.ShardCount.Load(),
-		ShardSweeps:         m.ShardSweeps.Load(),
-		HaloPairsDeduped:    m.HaloPairsDeduped.Load(),
 		ResumedCandidates:   m.ResumedCandidates.Load(),
 		ResumedPairs:        m.ResumedPairs.Load(),
 		ElapsedSeconds:      m.Elapsed().Seconds(),
@@ -276,9 +261,6 @@ var promRows = []promRow{
 	{"sxnm_spill_bytes_written_total", "counter", "Run-file payload bytes written by the spill path.", func(s *Snapshot) float64 { return float64(s.SpillBytesWritten) }},
 	{"sxnm_spill_bytes_read_total", "counter", "Run-file payload bytes streamed back during merges.", func(s *Snapshot) float64 { return float64(s.SpillBytesRead) }},
 	{"sxnm_spill_wall_seconds", "counter", "Cumulative wall time spent sorting and spilling runs.", func(s *Snapshot) float64 { return s.SpillWallSeconds }},
-	{"sxnm_shard_count", "gauge", "Resolved shard count for the sharded sliding-window path (0 = unsharded).", func(s *Snapshot) float64 { return float64(s.ShardCount) }},
-	{"sxnm_shard_sweeps_total", "counter", "Per-shard sweep executions across all key passes.", func(s *Snapshot) float64 { return float64(s.ShardSweeps) }},
-	{"sxnm_halo_pairs_deduped_total", "counter", "Window pairs skipped as halo duplicates owned by a neighboring shard.", func(s *Snapshot) float64 { return float64(s.HaloPairsDeduped) }},
 	{"sxnm_resumed_candidates_total", "counter", "Candidates adopted from a checkpoint instead of re-detected.", func(s *Snapshot) float64 { return float64(s.ResumedCandidates) }},
 	{"sxnm_resumed_pairs_total", "counter", "Duplicate pairs seeded from a checkpoint.", func(s *Snapshot) float64 { return float64(s.ResumedPairs) }},
 	{"sxnm_comparisons_per_second", "gauge", "Attempted-comparison throughput (computed + filtered) since detection start.", func(s *Snapshot) float64 { return s.ComparisonsPerSec }},

@@ -48,10 +48,6 @@ const (
 	// SpanSpill covers one external-sort spill (or manifest reuse) of a
 	// candidate's GK rows for a single key pass.
 	SpanSpill = "spill-sort"
-	// SpanShard covers one shard's share of a sharded sliding-window
-	// pass: its owned row range plus the halo prefix it reads for
-	// window context.
-	SpanShard = "shard"
 	// EventResume records that a run was seeded with recovered state.
 	EventResume = "resume"
 	// EventInterrupted records a run cut short by cancellation, a

@@ -46,16 +46,6 @@ const (
 	AttrSpillRuns   = "spill_runs"
 	AttrSpillBytes  = "spill_bytes"
 	AttrSpillReused = "spill_reused"
-
-	// Sharded-sweep attributes, set on SpanShard spans: the shard's
-	// index, its owned row range [start, end), the number of halo rows
-	// prepended for window context, and the halo pairs it skipped as
-	// another shard's property.
-	AttrShard       = "shard"
-	AttrShardStart  = "shard_start"
-	AttrShardEnd    = "shard_end"
-	AttrHaloRows    = "halo_rows"
-	AttrHaloDeduped = "halo_deduped"
 )
 
 // ReportSchema identifies the report.json layout version.
@@ -125,19 +115,6 @@ type SpillReport struct {
 	WallSeconds  float64 `json:"wall_seconds"`
 }
 
-// ShardReport summarizes the sharded sliding-window path; present only
-// when detection ran with Options.Shards enabled.
-type ShardReport struct {
-	// ShardCount is the configured shard count (post-resolution: a
-	// negative option resolves to the CPU count).
-	ShardCount int64 `json:"shard_count"`
-	// ShardSweeps counts per-shard sweep executions across all passes.
-	ShardSweeps int64 `json:"shard_sweeps"`
-	// HaloPairsDeduped counts window pairs that fell wholly inside a
-	// shard's halo and were skipped as another shard's property.
-	HaloPairsDeduped int64 `json:"halo_pairs_deduped"`
-}
-
 // InterruptReport records a run cut short.
 type InterruptReport struct {
 	Phase string `json:"phase"`
@@ -189,7 +166,6 @@ type Report struct {
 	Resume      *ResumeReport     `json:"resume,omitempty"`
 	Checkpoint  *CheckpointReport `json:"checkpoint,omitempty"`
 	Spill       *SpillReport      `json:"spill,omitempty"`
-	Sharding    *ShardReport      `json:"sharding,omitempty"`
 	Interrupted *InterruptReport  `json:"interrupted,omitempty"`
 
 	// PhaseLatency digests the duration distribution of every span
@@ -329,13 +305,6 @@ func (c *Collector) Report(m *Metrics) *Report {
 			BytesWritten: s.SpillBytesWritten,
 			BytesRead:    s.SpillBytesRead,
 			WallSeconds:  s.SpillWallSeconds,
-		}
-	}
-	if s := &rep.Metrics; s.ShardCount > 0 {
-		rep.Sharding = &ShardReport{
-			ShardCount:       s.ShardCount,
-			ShardSweeps:      s.ShardSweeps,
-			HaloPairsDeduped: s.HaloPairsDeduped,
 		}
 	}
 	for _, name := range c.order {
