@@ -68,6 +68,7 @@ bench-overhead:
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xmltree
 	$(GO) test -run '^$$' -fuzz FuzzCompilePattern -fuzztime $(FUZZTIME) ./internal/keygen
+	$(GO) test -run '^$$' -fuzz FuzzNormalize -fuzztime $(FUZZTIME) ./internal/strutil
 	$(GO) test -run '^$$' -fuzz FuzzCompileRule -fuzztime $(FUZZTIME) ./internal/rules
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) ./internal/xpath
 	$(GO) test -run '^$$' -fuzz 'FuzzReadGK$$' -fuzztime $(FUZZTIME) ./internal/core

@@ -13,15 +13,16 @@ import (
 	"repro/internal/dataset"
 )
 
-// Bench-regression guard for the window-sweep hot path and the front
-// end (XML scan and key generation). Three modes, all off by default so
+// Bench-regression guard for the window-sweep hot path and the layer
+// ledger (XML scan, key generation, detection, cluster export). Three modes, all off by default so
 // `go test ./...` stays fast and deterministic:
 //
 //	SXNM_BENCH_RECORD=1  go test -run TestBenchGuard .   # (make bench-baseline)
 //	    measures every windowSweepCases entry and writes the ns/op map
 //	    under the "bench_ns_per_op" key of BENCH_sxnm.json, and the
-//	    front-end ledger (parse, DOM keygen, stream keygen on the
-//	    movies500 and cds150 corpora: ns/op, B/op, allocs/op) under
+//	    layer ledger (parse, DOM keygen, stream keygen and detect on
+//	    the movies500 and cds150 corpora, the cluster export on cds150:
+//	    ns/op, B/op, allocs/op) under
 //	    "bench_layers", and stamps the host under "bench_machine",
 //	    preserving the rest of the committed run report.
 //	SXNM_BENCH_CHECK=1   go test -run TestBenchGuard .   # (make bench-check)
@@ -29,7 +30,7 @@ import (
 //	    missing or names another host (ns/op only means something on the
 //	    hardware that recorded it). Otherwise it re-measures and fails
 //	    if any case regresses more than 15%
-//	    against the recorded baseline, or any front-end case allocates
+//	    against the recorded baseline, or any ledger case allocates
 //	    more than 1% over its ledger entry (TestFrontEndAllocs checks
 //	    the allocation counts on every run). On machines with ≥4 usable
 //	    CPUs it additionally requires the 4-worker sweep to beat the
@@ -51,13 +52,13 @@ const (
 	// looser drift bar.
 	benchSpillTolerance = 0.35
 	benchMinSpeedup     = 1.5
-	// benchLayersKey holds the front-end ledger: ns/op, B/op and
-	// allocs/op of every frontEndLayers × corpus case.
+	// benchLayersKey holds the layer ledger: ns/op, B/op and
+	// allocs/op of every ledgerLayers × corpus case.
 	benchLayersKey = "bench_layers"
 	// benchMachineKey holds the stamp of the host the baselines were
 	// recorded on.
 	benchMachineKey = "bench_machine"
-	// Allocation counts are deterministic, so the front-end ledger gates
+	// Allocation counts are deterministic, so the layer ledger gates
 	// them almost exactly; the slack absorbs toolchain-level drift.
 	benchAllocTolerance = 0.01
 	// The threshold-aware filter is CPU-bound and deterministic, so it
@@ -92,44 +93,39 @@ func measureWindowSweep() map[string]float64 {
 	return out
 }
 
-// layerStat is one front-end ledger entry.
+// layerStat is one layer ledger entry.
 type layerStat struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// measureFrontEnd benchmarks every front-end layer on every corpus,
-// keyed "layer/corpus"; ns/op is the best of two rounds, as for the
-// sweeps.
-func measureFrontEnd(t *testing.T) map[string]layerStat {
+// measureLayers benchmarks every ledger case, keyed "layer/corpus";
+// ns/op is the best of two rounds, as for the sweeps.
+func measureLayers(t *testing.T) map[string]layerStat {
 	out := map[string]layerStat{}
-	corpora := frontEndCorpora(t)
+	corpora := ledgerCorpora(t)
 	for round := 0; round < 2; round++ {
-		for _, c := range corpora {
-			for _, l := range frontEndLayers {
-				c, l := c, l
-				r := testing.Benchmark(func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if err := l.op(c); err != nil {
-							b.Fatal(err)
-						}
+		forEachLedgerCase(corpora, func(key string, op func() error) {
+			r := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := op(); err != nil {
+						b.Fatal(err)
 					}
-				})
-				key := l.name + "/" + c.name
-				st := layerStat{NsPerOp: float64(r.NsPerOp()), BytesPerOp: float64(r.AllocedBytesPerOp()), AllocsPerOp: float64(r.AllocsPerOp())}
-				if prev, ok := out[key]; ok && prev.NsPerOp < st.NsPerOp {
-					st.NsPerOp = prev.NsPerOp
 				}
-				out[key] = st
+			})
+			st := layerStat{NsPerOp: float64(r.NsPerOp()), BytesPerOp: float64(r.AllocedBytesPerOp()), AllocsPerOp: float64(r.AllocsPerOp())}
+			if prev, ok := out[key]; ok && prev.NsPerOp < st.NsPerOp {
+				st.NsPerOp = prev.NsPerOp
 			}
-		}
+			out[key] = st
+		})
 	}
 	return out
 }
 
-// recordedLayers decodes the committed front-end ledger.
+// recordedLayers decodes the committed layer ledger.
 func recordedLayers(report map[string]any) (map[string]layerStat, error) {
 	raw, err := json.Marshal(report[benchLayersKey])
 	if err != nil {
@@ -140,10 +136,10 @@ func recordedLayers(report map[string]any) (map[string]layerStat, error) {
 	return out, err
 }
 
-// TestFrontEndAllocs gates the front-end ledger's allocation counts on
-// every test run: they are deterministic, so a parse or keygen change
-// that allocates more per document fails here, not only under
-// `make bench-check`.
+// TestFrontEndAllocs gates the layer ledger's allocation counts on
+// every test run: they are deterministic, so a parse, keygen, detect or
+// export change that allocates more per document fails here, not only
+// under `make bench-check`.
 func TestFrontEndAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the ledger corpora")
@@ -160,22 +156,23 @@ func TestFrontEndAllocs(t *testing.T) {
 	if err != nil || len(base) == 0 {
 		t.Fatalf("%s has no %q ledger (%v) — run `make bench-baseline`", benchBaselineFile, benchLayersKey, err)
 	}
-	for _, c := range frontEndCorpora(t) {
-		for _, l := range frontEndLayers {
-			key := l.name + "/" + c.name
-			want, ok := base[key]
-			if !ok {
-				t.Errorf("ledger is missing %q — re-run `make bench-baseline`", key)
-				continue
-			}
-			got := testing.AllocsPerRun(2, func() {
-				if err := l.op(c); err != nil {
-					t.Fatal(err)
-				}
-			})
-			checkAllocs(t, key, got, want.AllocsPerOp)
+	forEachLedgerCase(ledgerCorpora(t), func(key string, op func() error) {
+		if ledgerDetectSpilled && strings.HasPrefix(key, "detect/") {
+			t.Logf("%s: skipped, the smallspill tag runs Detect through the spill path", key)
+			return
 		}
-	}
+		want, ok := base[key]
+		if !ok {
+			t.Errorf("ledger is missing %q — re-run `make bench-baseline`", key)
+			return
+		}
+		got := testing.AllocsPerRun(2, func() {
+			if err := op(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		checkAllocs(t, key, got, want.AllocsPerOp)
+	})
 }
 
 func checkAllocs(t *testing.T, key string, got, want float64) {
@@ -240,7 +237,7 @@ func TestBenchGuard(t *testing.T) {
 	for name, ns := range measured {
 		t.Logf("%-16s %12.0f ns/op", name, ns)
 	}
-	layers := measureFrontEnd(t)
+	layers := measureLayers(t)
 	for name, st := range layers {
 		t.Logf("%-24s %12.0f ns/op %10.0f B/op %8.0f allocs/op", name, st.NsPerOp, st.BytesPerOp, st.AllocsPerOp)
 	}

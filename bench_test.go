@@ -11,6 +11,7 @@ package sxnm
 import (
 	"bytes"
 	"context"
+	"io"
 	"strings"
 	"testing"
 
@@ -565,20 +566,33 @@ func BenchmarkAblationGKPersistence(b *testing.B) {
 	}
 }
 
-// frontEndCorpus is one corpus of the front-end ledger: its serialized
-// bytes, its parsed document, and a validated configuration whose
-// candidate paths are plain, so both key generators accept it.
-type frontEndCorpus struct {
+// ledgerCorpus is one corpus of the layer ledger: its serialized
+// bytes, its parsed document, a validated configuration whose candidate
+// paths are plain (so both key generators accept it), its GK tables
+// generated once (the detect layer's input), and a detected result (the
+// export layer's input).
+type ledgerCorpus struct {
 	name string
 	xml  []byte
 	doc  *xmltree.Document
 	cfg  *config.Config
+	kg   *core.KeyGenResult
+	res  *Result
 }
 
-// frontEndCorpora are the corpora of the parse and keygen ledger
-// layers: the 500-movie document (one flat candidate) and the 150-disc
-// CD document (four nested candidates).
-func frontEndCorpora(tb testing.TB) []frontEndCorpus {
+// ledgerDetectOptions are the detect layer's options: the shipped
+// filter on, comparisons inline (PairWorkers 0), so the allocation
+// count is one goroutine's, deterministic.
+var ledgerDetectOptions = core.Options{UseFilter: true}
+
+// ledgerDetectSpilled is set under the smallspill build tag, which
+// sends every Detect through the spill path (ledger_smallspill_test.go).
+var ledgerDetectSpilled bool
+
+// ledgerCorpora are the corpora of the layer ledger: the 500-movie
+// document (one flat candidate) and the 150-disc CD document (four
+// nested candidates).
+func ledgerCorpora(tb testing.TB) []ledgerCorpus {
 	tb.Helper()
 	movies, _, err := dataset.DataSet1(dataset.Movies1Options{Movies: 500, Seed: 1})
 	if err != nil {
@@ -588,64 +602,102 @@ func frontEndCorpora(tb testing.TB) []frontEndCorpus {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	out := []frontEndCorpus{
+	out := []ledgerCorpus{
 		{name: "movies500", doc: movies, cfg: config.DataSet1(5)},
 		{name: "cds150", doc: cds, cfg: config.DataSet2(5)},
 	}
 	for i := range out {
-		if err := out[i].cfg.Validate(); err != nil {
+		c := &out[i]
+		if err := c.cfg.Validate(); err != nil {
 			tb.Fatal(err)
 		}
-		out[i].xml = []byte(out[i].doc.String())
+		c.xml = []byte(c.doc.String())
+		if c.kg, err = core.GenerateKeys(c.doc, c.cfg); err != nil {
+			tb.Fatal(err)
+		}
+		if c.res, err = core.Detect(c.kg, c.cfg, ledgerDetectOptions); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	return out
 }
 
-// frontEndLayers are the ledger's front-end layers, each one operation
-// over a corpus: the XML scan into a DOM, DOM key generation over a
-// parsed document, and streaming key generation straight from bytes.
-var frontEndLayers = []struct {
-	name string
-	op   func(c frontEndCorpus) error
+// ledgerLayers are the ledger's layers, each one operation over a
+// corpus: the XML scan into a DOM, DOM key generation over a parsed
+// document, streaming key generation straight from bytes, detection
+// over the corpus's GK tables, and the cluster export. Detection reuses
+// one set of tables, so the value sketches the first run builds are
+// kept (as for any Detect over the same tables): the layer measures
+// the passes, Def. 3 resolution and the closure. A layer with a corpus
+// name runs on that corpus only.
+var ledgerLayers = []struct {
+	name   string
+	corpus string
+	op     func(c ledgerCorpus) error
 }{
-	{"parse", func(c frontEndCorpus) error {
+	{"parse", "", func(c ledgerCorpus) error {
 		_, err := xmltree.ParseWithLimits(bytes.NewReader(c.xml), core.Limits{})
 		return err
 	}},
-	{"keygen-dom", func(c frontEndCorpus) error {
+	{"keygen-dom", "", func(c ledgerCorpus) error {
 		_, err := core.GenerateKeys(c.doc, c.cfg)
 		return err
 	}},
-	{"keygen-stream", func(c frontEndCorpus) error {
+	{"keygen-stream", "", func(c ledgerCorpus) error {
 		_, err := core.GenerateKeysStream(bytes.NewReader(c.xml), c.cfg)
 		return err
 	}},
+	{"detect", "", func(c ledgerCorpus) error {
+		_, err := core.Detect(c.kg, c.cfg, ledgerDetectOptions)
+		return err
+	}},
+	{"export", "cds150", func(c ledgerCorpus) error {
+		return WriteClustersXML(io.Discard, c.res)
+	}},
 }
 
-func benchFrontEnd(b *testing.B, layer string) {
-	for _, c := range frontEndCorpora(b) {
-		for _, l := range frontEndLayers {
-			if l.name != layer {
+// forEachLedgerCase calls f for every layer × corpus case of the
+// ledger, keyed "layer/corpus".
+func forEachLedgerCase(corpora []ledgerCorpus, f func(key string, op func() error)) {
+	for _, c := range corpora {
+		for _, l := range ledgerLayers {
+			if l.corpus != "" && l.corpus != c.name {
 				continue
 			}
-			b.Run(c.name, func(b *testing.B) {
-				b.ReportAllocs()
-				b.SetBytes(int64(len(c.xml)))
-				for i := 0; i < b.N; i++ {
-					if err := l.op(c); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			f(l.name+"/"+c.name, func() error { return l.op(c) })
 		}
 	}
 }
 
+func benchLayer(b *testing.B, layer string) {
+	corpora := ledgerCorpora(b)
+	forEachLedgerCase(corpora, func(key string, op func() error) {
+		name, corpus, _ := strings.Cut(key, "/")
+		if name != layer {
+			return
+		}
+		b.Run(corpus, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
+}
+
 // BenchmarkParse measures the XML scan into a DOM.
-func BenchmarkParse(b *testing.B) { benchFrontEnd(b, "parse") }
+func BenchmarkParse(b *testing.B) { benchLayer(b, "parse") }
 
 // BenchmarkKeyGenDOM measures key generation over a parsed document.
-func BenchmarkKeyGenDOM(b *testing.B) { benchFrontEnd(b, "keygen-dom") }
+func BenchmarkKeyGenDOM(b *testing.B) { benchLayer(b, "keygen-dom") }
 
 // BenchmarkKeyGenStream measures streaming key generation from bytes.
-func BenchmarkKeyGenStream(b *testing.B) { benchFrontEnd(b, "keygen-stream") }
+func BenchmarkKeyGenStream(b *testing.B) { benchLayer(b, "keygen-stream") }
+
+// BenchmarkDetectLayer measures detection over generated keys.
+func BenchmarkDetectLayer(b *testing.B) { benchLayer(b, "detect") }
+
+// BenchmarkExportClusters measures the cluster-set XML export.
+func BenchmarkExportClusters(b *testing.B) { benchLayer(b, "export") }

@@ -276,7 +276,15 @@ func run(args []string) error {
 		fmt.Printf("wrote duplicate groups to %s\n", *csvPath)
 	}
 	if *xmlPath != "" {
-		if err := sxnm.ClustersDocument(res).WriteFile(*xmlPath, xmltree.WriteOptions{Indent: "  ", Header: true}); err != nil {
+		f, err := os.Create(*xmlPath)
+		if err != nil {
+			return err
+		}
+		if err := sxnm.WriteClustersXML(f, res); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("wrote cluster sets to %s\n", *xmlPath)

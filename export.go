@@ -1,6 +1,7 @@
 package sxnm
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -42,42 +43,68 @@ func WriteClustersCSV(w io.Writer, doc *Document, res *Result) error {
 	return cw.Error()
 }
 
-// ClustersDocument renders the full cluster sets (the CS relations of
-// Def. 1) as an XML document:
+// WriteClustersXML writes the full cluster sets (the CS relations of
+// Def. 1) as an XML document, candidates in name order:
 //
+//	<?xml version="1.0" encoding="UTF-8"?>
 //	<sxnm-clusters>
 //	  <candidate name="movie">
-//	    <cluster id="1"><element id="3"/><element id="17"/></cluster>
+//	    <cluster id="1" duplicates="true">
+//	      <element id="3"/>
+//	      <element id="17"/>
+//	    </cluster>
 //	    ...
 //	  </candidate>
 //	</sxnm-clusters>
-func ClustersDocument(res *Result) *Document {
-	root := xmltree.NewElement("sxnm-clusters")
+//
+// The output is streamed from the cluster sets, without building a
+// document tree, in the bytes the xmltree serializer writes for that
+// tree with a two-space indent and the XML declaration.
+func WriteClustersXML(w io.Writer, res *Result) error {
 	names := make([]string, 0, len(res.Clusters))
 	for name := range res.Clusters {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	// bufio.Writer errors are sticky: the final Flush reports the first.
+	bw := bufio.NewWriter(w)
+	bw.WriteString("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n")
+	if len(names) == 0 {
+		bw.WriteString("<sxnm-clusters/>\n")
+		return bw.Flush()
+	}
+	bw.WriteString("<sxnm-clusters>")
+	var num []byte
 	for _, name := range names {
-		ce := xmltree.NewElement("candidate")
-		ce.SetAttr("name", name)
+		bw.WriteString("\n  <candidate name=\"")
+		xmltree.EscapeAttr(bw, name)
 		cs := res.Clusters[name]
+		if cs.Len() == 0 {
+			bw.WriteString("\"/>")
+			continue
+		}
+		bw.WriteString("\">")
 		for _, c := range cs.Clusters {
-			cl := xmltree.NewElement("cluster")
-			cl.SetAttr("id", strconv.Itoa(c.ID))
+			bw.WriteString("\n    <cluster id=\"")
+			num = strconv.AppendInt(num[:0], int64(c.ID), 10)
+			bw.Write(num)
 			if len(c.Members) > 1 {
-				cl.SetAttr("duplicates", "true")
+				bw.WriteString("\" duplicates=\"true\">")
+			} else {
+				bw.WriteString("\">")
 			}
 			for _, eid := range c.Members {
-				el := xmltree.NewElement("element")
-				el.SetAttr("id", strconv.Itoa(eid))
-				cl.AppendChild(el)
+				bw.WriteString("\n      <element id=\"")
+				num = strconv.AppendInt(num[:0], int64(eid), 10)
+				bw.Write(num)
+				bw.WriteString("\"/>")
 			}
-			ce.AppendChild(cl)
+			bw.WriteString("\n    </cluster>")
 		}
-		root.AppendChild(ce)
+		bw.WriteString("\n  </candidate>")
 	}
-	return xmltree.NewDocument(root)
+	bw.WriteString("\n</sxnm-clusters>\n")
+	return bw.Flush()
 }
 
 // WriteStats writes the phase timings and counters in the layout of

@@ -1,9 +1,15 @@
 package sxnm
 
 import (
+	"bytes"
 	"encoding/csv"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/xmltree"
 )
 
 func TestWriteClustersCSV(t *testing.T) {
@@ -46,7 +52,7 @@ func TestWriteClustersCSV(t *testing.T) {
 	}
 }
 
-func TestClustersDocument(t *testing.T) {
+func TestWriteClustersXML(t *testing.T) {
 	det := demoDetector(t)
 	doc, err := ParseXMLString(demoXML)
 	if err != nil {
@@ -56,7 +62,15 @@ func TestClustersDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := ClustersDocument(res)
+	var b strings.Builder
+	if err := WriteClustersXML(&b, res); err != nil {
+		t.Fatal(err)
+	}
+	// The written document parses back.
+	out, err := ParseXMLString(b.String())
+	if err != nil {
+		t.Fatalf("clusters document does not parse back: %v", err)
+	}
 	if out.Root.Name != "sxnm-clusters" {
 		t.Fatalf("root = %q", out.Root.Name)
 	}
@@ -83,9 +97,68 @@ func TestClustersDocument(t *testing.T) {
 	if dupClusters != 1 {
 		t.Errorf("duplicate clusters = %d, want 1", dupClusters)
 	}
-	// The document serializes and reparses.
-	if _, err := ParseXMLString(out.String()); err != nil {
-		t.Fatalf("clusters document does not round-trip: %v", err)
+}
+
+// clustersTree is the document tree the cluster export used to build
+// before serializing it; WriteClustersXML must stream exactly the bytes
+// the xmltree serializer writes for it.
+func clustersTree(res *Result) *Document {
+	root := xmltree.NewElement("sxnm-clusters")
+	names := make([]string, 0, len(res.Clusters))
+	for name := range res.Clusters {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		ce := xmltree.NewElement("candidate")
+		ce.SetAttr("name", name)
+		for _, c := range res.Clusters[name].Clusters {
+			cl := xmltree.NewElement("cluster")
+			cl.SetAttr("id", strconv.Itoa(c.ID))
+			if len(c.Members) > 1 {
+				cl.SetAttr("duplicates", "true")
+			}
+			for _, eid := range c.Members {
+				el := xmltree.NewElement("element")
+				el.SetAttr("id", strconv.Itoa(eid))
+				cl.AppendChild(el)
+			}
+			ce.AppendChild(cl)
+		}
+		root.AppendChild(ce)
+	}
+	return xmltree.NewDocument(root)
+}
+
+// TestWriteClustersXMLMatchesTreeSerializer pins the streamed export to
+// the serializer's bytes on a real run and on the edge shapes: no
+// candidates, a candidate without clusters, and a name that needs
+// attribute escaping.
+func TestWriteClustersXMLMatchesTreeSerializer(t *testing.T) {
+	det := demoDetector(t)
+	run, err := det.RunReader(strings.NewReader(demoXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := &Result{Clusters: map[string]*ClusterSet{
+		"a&b \"<q>\"\n\t": cluster.FromPairs([]int{-4, 2, 9, 11}, []cluster.Pair{{A: -4, B: 11}}),
+		"empty":           cluster.FromPairs(nil, nil),
+	}}
+	for name, res := range map[string]*Result{
+		"demo run":      run,
+		"no candidates": {Clusters: map[string]*ClusterSet{}},
+		"edge shapes":   odd,
+	} {
+		var want, got bytes.Buffer
+		if err := clustersTree(res).Write(&want, xmltree.WriteOptions{Indent: "  ", Header: true}); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteClustersXML(&got, res); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: streamed export differs from the serializer:\ngot:\n%s\nwant:\n%s", name, got.Bytes(), want.Bytes())
+		}
 	}
 }
 

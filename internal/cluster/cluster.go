@@ -5,50 +5,76 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // UnionFind is a disjoint-set forest over arbitrary int element IDs
 // with path compression and union by size. Elements are registered
-// lazily: an ID that was never seen is its own singleton set.
+// lazily: an ID that was never seen is its own singleton set. The
+// forest itself is slice-backed over dense int32 indices assigned in
+// registration order; one map translates element IDs to them.
 type UnionFind struct {
-	parent map[int]int
-	size   map[int]int
+	index  map[int]int32 // element ID -> dense index
+	ids    []int         // dense index -> element ID
+	parent []int32
+	size   []int32
 	unions int
 }
 
 // NewUnionFind returns an empty union-find.
-func NewUnionFind() *UnionFind {
-	return &UnionFind{parent: make(map[int]int), size: make(map[int]int)}
+func NewUnionFind() *UnionFind { return NewUnionFindSize(0) }
+
+// NewUnionFindSize returns an empty union-find with room for n elements
+// before it has to grow.
+func NewUnionFindSize(n int) *UnionFind {
+	return &UnionFind{
+		index:  make(map[int]int32, n),
+		ids:    make([]int, 0, n),
+		parent: make([]int32, 0, n),
+		size:   make([]int32, 0, n),
+	}
 }
 
 // Add registers id as a singleton if it is not yet known.
-func (u *UnionFind) Add(id int) {
-	if _, ok := u.parent[id]; !ok {
-		u.parent[id] = id
-		u.size[id] = 1
+func (u *UnionFind) Add(id int) { u.at(id) }
+
+// at returns id's dense index, registering id if new.
+func (u *UnionFind) at(id int) int32 {
+	if i, ok := u.index[id]; ok {
+		return i
 	}
+	i := int32(len(u.ids))
+	u.index[id] = i
+	u.ids = append(u.ids, id)
+	u.parent = append(u.parent, i)
+	u.size = append(u.size, 1)
+	return i
+}
+
+// root returns the root index of i's tree, compressing the path.
+func (u *UnionFind) root(i int32) int32 {
+	r := i
+	for u.parent[r] != r {
+		r = u.parent[r]
+	}
+	for u.parent[i] != r {
+		u.parent[i], i = r, u.parent[i]
+	}
+	return r
 }
 
 // Find returns the representative of id's set, registering id if new.
-func (u *UnionFind) Find(id int) int {
-	u.Add(id)
-	root := id
-	for u.parent[root] != root {
-		root = u.parent[root]
-	}
-	for u.parent[id] != root { // path compression
-		u.parent[id], id = root, u.parent[id]
-	}
-	return root
-}
+func (u *UnionFind) Find(id int) int { return u.ids[u.root(u.at(id))] }
 
 // Union merges the sets containing a and b and reports whether a merge
 // happened (false if they were already in the same set).
 func (u *UnionFind) Union(a, b int) bool {
-	ra, rb := u.Find(a), u.Find(b)
+	ia, ib := u.at(a), u.at(b)
+	ra, rb := u.root(ia), u.root(ib)
 	if ra == rb {
 		return false
 	}
@@ -65,7 +91,7 @@ func (u *UnionFind) Union(a, b int) bool {
 func (u *UnionFind) Same(a, b int) bool { return u.Find(a) == u.Find(b) }
 
 // Len returns the number of registered elements.
-func (u *UnionFind) Len() int { return len(u.parent) }
+func (u *UnionFind) Len() int { return len(u.ids) }
 
 // Unions returns the number of successful merges performed.
 func (u *UnionFind) Unions() int { return u.unions }
@@ -73,17 +99,11 @@ func (u *UnionFind) Unions() int { return u.unions }
 // Sets returns the current partition as a slice of ID slices, each
 // sorted ascending, with the slice of sets sorted by smallest member.
 func (u *UnionFind) Sets() [][]int {
-	groups := make(map[int][]int)
-	for id := range u.parent {
-		root := u.Find(id)
-		groups[root] = append(groups[root], id)
+	cs := Build(u)
+	out := make([][]int, len(cs.Clusters))
+	for i, c := range cs.Clusters {
+		out[i] = c.Members
 	}
-	out := make([][]int, 0, len(groups))
-	for _, g := range groups {
-		sort.Ints(g)
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }
 
@@ -112,25 +132,55 @@ type Set struct {
 // ID to cluster ID.
 type ClusterSet struct {
 	Clusters []Set
-	byMember map[int]int // element ID -> cluster ID
+	ids      []int   // every element ID, ascending
+	cids     []int32 // cluster ID of ids[i]
 }
 
 // Build materializes a ClusterSet from a union-find: every registered
 // element lands in exactly one cluster. Cluster IDs are assigned in
 // order of each cluster's smallest member, starting at 1, which makes
-// results deterministic across runs.
+// results deterministic across runs. One pass over the elements in
+// ascending ID order numbers the clusters, and a second cuts their
+// members, already ascending, from a single backing array.
 func Build(u *UnionFind) *ClusterSet {
-	sets := u.Sets()
-	cs := &ClusterSet{
-		Clusters: make([]Set, len(sets)),
-		byMember: make(map[int]int, u.Len()),
+	n := len(u.ids)
+	order := make([]int32, n) // dense indices by ascending element ID
+	for i := range order {
+		order[i] = int32(i)
 	}
-	for i, members := range sets {
-		id := i + 1
-		cs.Clusters[i] = Set{ID: id, Members: members}
-		for _, m := range members {
-			cs.byMember[m] = id
+	if !slices.IsSorted(u.ids) {
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(u.ids[a], u.ids[b]) })
+	}
+	cs := &ClusterSet{ids: make([]int, n), cids: make([]int32, n)}
+	clusterOf := make([]int32, n) // root index -> cluster ID (0: none yet)
+	var sizes []int32
+	for k, i := range order {
+		r := u.root(i)
+		if clusterOf[r] == 0 {
+			sizes = append(sizes, u.size[r])
+			clusterOf[r] = int32(len(sizes))
 		}
+		cs.ids[k] = u.ids[i]
+		cs.cids[k] = clusterOf[r]
+	}
+	cs.Clusters = make([]Set, len(sizes))
+	next := make([]int, len(sizes)) // fill position per cluster
+	off := 0
+	for c, sz := range sizes {
+		next[c] = off
+		off += int(sz)
+	}
+	members := make([]int, n)
+	for k, id := range cs.ids {
+		c := cs.cids[k] - 1
+		members[next[c]] = id
+		next[c]++
+	}
+	off = 0
+	for c, sz := range sizes {
+		end := off + int(sz)
+		cs.Clusters[c] = Set{ID: c + 1, Members: members[off:end:end]}
+		off = end
 	}
 	return cs
 }
@@ -139,7 +189,7 @@ func Build(u *UnionFind) *ClusterSet {
 // duplicate pairs plus the universe of all element IDs (so unmatched
 // elements become singleton clusters).
 func FromPairs(universe []int, pairs []Pair) *ClusterSet {
-	u := NewUnionFind()
+	u := NewUnionFindSize(len(universe))
 	for _, id := range universe {
 		u.Add(id)
 	}
@@ -152,8 +202,11 @@ func FromPairs(universe []int, pairs []Pair) *ClusterSet {
 // CID returns the cluster ID of the given element — the paper's cid()
 // function — and whether the element is known to this cluster set.
 func (cs *ClusterSet) CID(elementID int) (int, bool) {
-	id, ok := cs.byMember[elementID]
-	return id, ok
+	k, ok := slices.BinarySearch(cs.ids, elementID)
+	if !ok {
+		return 0, false
+	}
+	return int(cs.cids[k]), true
 }
 
 // Cluster returns the cluster with the given ID, or nil.
@@ -168,7 +221,7 @@ func (cs *ClusterSet) Cluster(clusterID int) *Set {
 func (cs *ClusterSet) Len() int { return len(cs.Clusters) }
 
 // Elements returns the total number of elements across all clusters.
-func (cs *ClusterSet) Elements() int { return len(cs.byMember) }
+func (cs *ClusterSet) Elements() int { return len(cs.ids) }
 
 // DuplicatePairs enumerates all intra-cluster pairs — the transitive
 // closure of the detected duplicate relation. The result is sorted.

@@ -335,7 +335,7 @@ func (c *Candidate) validate(cfg *Config) error {
 			return fmt.Errorf("key %q has no parts", name)
 		}
 		orders := map[int]bool{}
-		ck := keygen.Key{Name: name}
+		var parts []keygen.Part
 		for _, part := range kd.Parts {
 			if _, ok := c.pathByID[part.PathID]; !ok {
 				return fmt.Errorf("key %q references unknown path id %d", name, part.PathID)
@@ -348,9 +348,9 @@ func (c *Candidate) validate(cfg *Config) error {
 			if err != nil {
 				return fmt.Errorf("key %q: %w", name, err)
 			}
-			ck.Parts = append(ck.Parts, keygen.Part{PathID: part.PathID, Order: part.Order, Pattern: pat})
+			parts = append(parts, keygen.Part{PathID: part.PathID, Order: part.Order, Pattern: pat})
 		}
-		c.compiledKeys = append(c.compiledKeys, ck)
+		c.compiledKeys = append(c.compiledKeys, keygen.NewKey(name, parts))
 	}
 	sortODByPath(c.OD)
 	return nil

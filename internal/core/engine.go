@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -596,7 +596,6 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 
 	keys := cand.CompiledKeys()
 	w := cand.Window
-	compared := make(map[uint64]struct{})
 	var pairs []cluster.Pair
 	startPass := 0
 	if prog != nil {
@@ -605,6 +604,16 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 			return nil, nil, fmt.Errorf("core: candidate %q: resume pass %d beyond %d keys",
 				cand.Name, startPass, len(keys))
 		}
+	}
+	// Every distinct pair enters the compared set once; sizing it for
+	// the window slots of the passes still to run spares the rehashes
+	// of a growing set (repeats across passes only leave it roomier).
+	size := int(estWindowPairs(len(t.Rows), w)) * (len(keys) - startPass)
+	if prog != nil {
+		size += len(prog.Pairs)
+	}
+	compared := make(map[uint64]struct{}, size)
+	if prog != nil {
 		pairs = append(pairs, prog.Pairs...)
 		for _, p := range prog.Pairs {
 			compared[packPair(p.A, p.B)] = struct{}{}
@@ -743,9 +752,9 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 		keep = len(t.Rows)
 	}
 	ring := newRowRing(keep)
-	var order []int
+	var order []sortedRow
 	if spiller == nil {
-		order = make([]int, len(t.Rows))
+		order = make([]sortedRow, len(t.Rows))
 	}
 	for pass := startPass; pass < len(keys); pass++ {
 		curPass = pass
@@ -795,13 +804,8 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 			}
 			src = s
 		} else {
-			for i := range order {
-				order[i] = i
-			}
-			sort.SliceStable(order, func(a, b int) bool {
-				return gkRowLess(&t.Rows[order[a]], &t.Rows[order[b]], k)
-			})
-			src = &memSource{t: t, order: order}
+			sortPass(order, t.Rows, k)
+			src = &memSource{order: order}
 		}
 		i := -1
 		for {
@@ -890,7 +894,7 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 			return tcInterrupt(err)
 		}
 	}
-	uf := cluster.NewUnionFind()
+	uf := cluster.NewUnionFindSize(len(t.Rows))
 	tcIter := 0
 	for i := range t.Rows {
 		tcIter++
@@ -922,6 +926,24 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 			obs.Int64(obs.AttrSimCacheEvictions, st.Evictions-baseCache.Evictions))
 	}
 	return cs, cstats, nil
+}
+
+// sortedRow is a row's place in one pass's sort: its passKey copied
+// next to the row pointer, so comparisons read one contiguous slice
+// instead of chasing row -> Keys -> key.
+type sortedRow struct {
+	passKey
+	row *GKRow
+}
+
+// sortPass fills order, one entry per row, with the rows in the given
+// pass's order. The order is total, so the unstable pdqsort yields the
+// one permutation every other sort of the pass yields.
+func sortPass(order []sortedRow, rows []GKRow, pass int) {
+	for i := range rows {
+		order[i] = sortedRow{rows[i].passKey(pass), &rows[i]}
+	}
+	slices.SortFunc(order, func(a, b sortedRow) int { return a.compare(b.passKey) })
 }
 
 // DefaultSimCacheSize is the per-candidate value-pair capacity used
@@ -983,35 +1005,76 @@ func ResolveDescendantClusters(t *GKTable, clusters map[string]*cluster.ClusterS
 
 // resolveDescClusters maps each row's descendant element IDs to the
 // cluster IDs assigned by the (already processed) descendant
-// candidates — the l_e lists feeding Definition 3.
+// candidates — the l_e lists feeding Definition 3. All rows' lists are
+// cut from two table-wide backing arrays.
 func resolveDescClusters(t *GKTable, clusters map[string]*cluster.ClusterSet) {
+	sets := t.setDescTypes(clusters)
+	rows, ids := 0, 0
 	for i := range t.Rows {
-		resolveRowDescClusters(&t.Rows[i], clusters)
+		if len(t.Rows[i].Desc) > 0 {
+			rows++
+			for _, eids := range t.Rows[i].Desc {
+				ids += len(eids)
+			}
+		}
+	}
+	k := len(t.descTypes)
+	lists := make([]descList, rows*k)
+	cids := make([]int, 0, ids)
+	for i := range t.Rows {
+		row := &t.Rows[i]
+		row.desc = nil
+		if len(row.Desc) == 0 {
+			continue
+		}
+		row.desc, lists = lists[:k:k], lists[k:]
+		cids = resolveRowDesc(row, t.descTypes, sets, cids)
 	}
 }
 
-// resolveRowDescClusters is resolveDescClusters for a single row; the
-// spill path calls it as each row is decoded from a run file, so
-// streamed rows carry the same l_e lists as resident ones.
-func resolveRowDescClusters(row *GKRow, clusters map[string]*cluster.ClusterSet) {
-	row.descClusters = nil
-	if len(row.Desc) == 0 {
-		return
-	}
-	row.descClusters = make(map[string][]int, len(row.Desc))
-	for name, eids := range row.Desc {
-		cs, ok := clusters[name]
-		if !ok {
-			continue // descendant candidate was not processed (should not happen bottom-up)
+// setDescTypes records the table's descendant types — every name found
+// in some row's Desc, sorted — and returns each type's cluster set (nil
+// for a type that was not processed, whose lists stay empty).
+func (t *GKTable) setDescTypes(clusters map[string]*cluster.ClusterSet) []*cluster.ClusterSet {
+	var names []string
+	for i := range t.Rows {
+		for name := range t.Rows[i].Desc {
+			if !slices.Contains(names, name) {
+				names = append(names, name)
+			}
 		}
-		cids := make([]int, 0, len(eids))
+	}
+	slices.Sort(names)
+	t.descTypes = names
+	sets := make([]*cluster.ClusterSet, len(names))
+	for i, name := range names {
+		sets[i] = clusters[name]
+	}
+	return sets
+}
+
+// resolveRowDesc fills row.desc (already sized to the table's types)
+// with the row's sorted cluster-ID lists, appending the IDs to cids and
+// returning it extended. Element IDs a cluster set does not know are
+// dropped. The spill path calls it as each row is decoded from a run
+// file, so streamed rows carry the same l_e lists as resident ones.
+func resolveRowDesc(row *GKRow, types []string, sets []*cluster.ClusterSet, cids []int) []int {
+	for k, name := range types {
+		eids, cs := row.Desc[name], sets[k]
+		if len(eids) == 0 || cs == nil {
+			continue
+		}
+		start := len(cids)
 		for _, eid := range eids {
 			if cid, ok := cs.CID(eid); ok {
 				cids = append(cids, cid)
 			}
 		}
-		row.descClusters[name] = cids
+		l := cids[start:len(cids):len(cids)]
+		slices.Sort(l)
+		row.desc[k].cids = l
 	}
+	return cids
 }
 
 // comparePair computes OD similarity (Def. 2), descendant similarity
@@ -1021,11 +1084,7 @@ func resolveRowDescClusters(row *GKRow, clusters map[string]*cluster.ClusterSet)
 // nil cache computes everything directly.
 func comparePair(t *GKTable, a, b *GKRow, useDesc bool, opts Options, cache *similarity.Cache) (odSim, descSim float64, hasDesc, dup, filtered bool, err error) {
 	if useDesc {
-		if cache != nil {
-			descSim, hasDesc = descendantSimilarityCached(cache, a, b)
-		} else {
-			descSim, hasDesc = descendantSimilarity(a, b)
-		}
+		descSim, hasDesc = descendantSimilarity(a, b, cache)
 	}
 	if opts.FieldRule != nil {
 		fieldSims, ferr := cache.ODFieldSims(t.fields, a.OD, b.OD)
@@ -1079,39 +1138,46 @@ func aggregateFieldSims(fields []similarity.ODField, sims []float64) float64 {
 
 // descendantSimilarity implements Def. 3 with the paper's choices:
 // φ^desc is the multiset overlap of cluster-ID lists and agg() is the
-// unweighted average over descendant types. Types where both elements
-// lack descendants are uninformative and skipped; if every type is
-// uninformative the pair has no usable descendant signal (hasDesc is
-// false) and classification falls back to the OD alone, matching the
-// paper's leaf-node rule.
-func descendantSimilarity(a, b *GKRow) (float64, bool) {
-	if a.descClusters == nil && b.descClusters == nil {
+// unweighted average over descendant types, summed in type-name order.
+// Types where both elements lack descendants are uninformative and
+// skipped; if every type is uninformative the pair has no usable
+// descendant signal (hasDesc is false) and classification falls back
+// to the OD alone, matching the paper's leaf-node rule. With a
+// similarity cache each overlap is served from the interned SetIDs
+// instead; the operands and the summation order are the same, so the
+// aggregate is bit-identical either way.
+func descendantSimilarity(a, b *GKRow, cache *similarity.Cache) (float64, bool) {
+	n := max(len(a.desc), len(b.desc))
+	if n == 0 {
 		return 0, false
 	}
-	types := make(map[string]struct{}, len(a.descClusters)+len(b.descClusters))
-	for name := range a.descClusters {
-		types[name] = struct{}{}
-	}
-	for name := range b.descClusters {
-		types[name] = struct{}{}
-	}
-	names := make([]string, 0, len(types))
-	for name := range types {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var sims []float64
-	for _, name := range names {
-		la, lb := a.descClusters[name], b.descClusters[name]
-		if len(la) == 0 && len(lb) == 0 {
+	var sum float64
+	informative := 0
+	for k := 0; k < n; k++ {
+		la, lb := a.descAt(k), b.descAt(k)
+		if len(la.cids) == 0 && len(lb.cids) == 0 {
 			continue
 		}
-		sims = append(sims, similarity.Overlap(la, lb))
+		if cache != nil {
+			sum += cache.OverlapIDs(la.set, lb.set)
+		} else {
+			sum += similarity.OverlapSorted(la.cids, lb.cids)
+		}
+		informative++
 	}
-	if len(sims) == 0 {
+	if informative == 0 {
 		return 0, false
 	}
-	return similarity.Average(sims), true
+	return sum / float64(informative), true
+}
+
+// descAt returns the row's list for descendant type k; a row without
+// descendants has the empty list (SetID 0) for every type.
+func (r *GKRow) descAt(k int) descList {
+	if k < len(r.desc) {
+		return r.desc[k]
+	}
+	return descList{}
 }
 
 // internDescSets interns every row's descendant cluster-ID lists so
@@ -1125,51 +1191,14 @@ func internDescSets(t *GKTable, c *similarity.Cache) {
 
 // internRowDescSets interns one row's descendant lists. SetIDs are
 // content-keyed in the cache, so the assignment order (table sweep vs
-// spill decode order) never changes a similarity result.
+// spill decode order) never changes a similarity result. Empty lists
+// keep SetID 0, the empty multiset.
 func internRowDescSets(row *GKRow, c *similarity.Cache) {
-	row.descSets = nil
-	if row.descClusters == nil {
-		return
-	}
-	row.descSets = make(map[string]similarity.SetID, len(row.descClusters))
-	for name, list := range row.descClusters {
-		row.descSets[name] = c.InternDesc(list)
-	}
-}
-
-// descendantSimilarityCached is descendantSimilarity over interned
-// SetIDs: same type union, same ordering, same both-empty skip, with
-// each per-type overlap served by the cache. A missing descSets entry
-// is the empty multiset (SetID 0), matching the nil-list semantics of
-// the uncached path, so the aggregated float is bit-identical.
-func descendantSimilarityCached(c *similarity.Cache, a, b *GKRow) (float64, bool) {
-	if a.descClusters == nil && b.descClusters == nil {
-		return 0, false
-	}
-	types := make(map[string]struct{}, len(a.descClusters)+len(b.descClusters))
-	for name := range a.descClusters {
-		types[name] = struct{}{}
-	}
-	for name := range b.descClusters {
-		types[name] = struct{}{}
-	}
-	names := make([]string, 0, len(types))
-	for name := range types {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var sims []float64
-	for _, name := range names {
-		la, lb := a.descClusters[name], b.descClusters[name]
-		if len(la) == 0 && len(lb) == 0 {
-			continue
+	for k := range row.desc {
+		if l := &row.desc[k]; len(l.cids) > 0 {
+			l.set = c.InternDesc(l.cids)
 		}
-		sims = append(sims, c.OverlapIDs(a.descSets[name], b.descSets[name]))
 	}
-	if len(sims) == 0 {
-		return 0, false
-	}
-	return similarity.Average(sims), true
 }
 
 // decide applies the candidate's classification rule.

@@ -30,6 +30,7 @@ func FuzzReadGK(f *testing.F) {
 	f.Add([]byte("#gk\tnosuch\tkeys=1\tod=1\trows=0\n"))
 	f.Add([]byte("1\tK\tV\t\n"))
 	f.Add([]byte("#gk\tmovie\tkeys=1\tod=1\trows=1\n1\tK\ta|b%7Cc\tperson=1\n"))
+	f.Add([]byte("#gk\tmovie\tkeys=1\tod=1\trows=2\n3\tK\tA\t\n3\tL\tB\t\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kg, err := ReadGK(strings.NewReader(string(data)), cfg)
 		if err != nil {

@@ -6,6 +6,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/config"
@@ -26,15 +27,13 @@ type GKRow struct {
 	OD   [][]string
 	Desc map[string][]int
 
-	// descClusters caches, per descendant candidate name, the cluster
-	// IDs corresponding to Desc once the descendant's cluster set is
-	// known; filled in by the engine before the candidate's own passes.
-	descClusters map[string][]int
-
-	// descSets holds the interned SetID of each descClusters list when
-	// the run uses a similarity cache (Options.SimCache); absence of a
-	// name means the empty multiset (SetID 0).
-	descSets map[string]similarity.SetID
+	// desc holds, per descendant type of the table (indexed by the
+	// ordinals of GKTable.descTypes), the sorted cluster IDs of the
+	// row's Desc elements once the descendant cluster sets are known,
+	// plus that list's interned SetID when the run uses a similarity
+	// cache (Options.SimCache). Filled in by the engine before the
+	// candidate's own passes; nil for a row without descendants.
+	desc []descList
 
 	// odSketch holds, per OD field with the edit measure, one
 	// ValueSketch per value (nil entries for other fields); prepared by
@@ -53,12 +52,35 @@ type GKTable struct {
 	Rows      []GKRow
 
 	fields []similarity.ODField
-	bounds []bool      // per OD field: does the length upper bound apply?
-	byEID  map[int]int // EID -> row index
+	bounds []bool // per OD field: does the length upper bound apply?
+
+	// byEID maps EID -> row index; built on the first Row call, since
+	// detection itself never looks a row up by ID.
+	byEIDOnce sync.Once
+	byEID     map[int]int
+
+	// descTypes lists the descendant candidate names found in the rows'
+	// Desc, sorted; GKRow.desc is indexed by their ordinals.
+	descTypes []string
 }
 
-// Row returns the row for the given element ID, or nil.
+// descList is one descendant type's l_e list of a row (Def. 3): the
+// cluster IDs of its descendant instances, sorted ascending, and their
+// interned SetID (0, the empty multiset, without a similarity cache).
+type descList struct {
+	cids []int
+	set  similarity.SetID
+}
+
+// Row returns the row for the given element ID, or nil. Call it once
+// the table is complete: the ID index is built on first use.
 func (t *GKTable) Row(eid int) *GKRow {
+	t.byEIDOnce.Do(func() {
+		t.byEID = make(map[int]int, len(t.Rows))
+		for i := range t.Rows {
+			t.byEID[t.Rows[i].EID] = i
+		}
+	})
 	i, ok := t.byEID[eid]
 	if !ok {
 		return nil
@@ -123,36 +145,31 @@ func GenerateKeysObserved(ctx context.Context, doc *xmltree.Document, cfg *confi
 	// Match elements to candidates by path. Candidate paths that use the
 	// descendant axis or wildcards are resolved up front into an
 	// element-pointer set; plain paths are matched by the walk itself,
-	// which advances a path-trie position per element.
+	// which advances a path-trie position per element. Both yield the
+	// candidate's index in cfg.Candidates.
 	plain := plainPathTrie(cfg)
-	special := make(map[*xmltree.Node]*config.Candidate)
+	special := make(map[*xmltree.Node]int)
 	for i := range cfg.Candidates {
 		c := &cfg.Candidates[i]
 		if isPlainPath(c.XPath) {
 			continue
 		}
 		for _, n := range c.AbsPath().SelectDocument(doc) {
-			special[n] = c
+			special[n] = i
 		}
 	}
-	candidateOf := func(n *xmltree.Node, at *xmltree.PathNode) *config.Candidate {
-		if c, ok := special[n]; ok {
-			return c
+	candidateOf := func(n *xmltree.Node, at *xmltree.PathNode) int {
+		if k, ok := special[n]; ok {
+			return k
 		}
-		if k := at.Value(); k >= 0 {
-			return &cfg.Candidates[k]
-		}
-		return nil
+		return at.Value()
 	}
 
 	// Depth-first walk with an explicit stack of open candidate
 	// instances so each candidate element registers with its nearest
 	// candidate ancestor.
-	type open struct {
-		cand *config.Candidate
-		row  int // index into tables[cand.Name].Rows
-	}
-	var stack []open
+	rows := make([]rowChunks, len(cfg.Candidates))
+	var stack []*GKRow
 	visited := 0
 	// walk visits n, whose parent sits at trie position up.
 	var walk func(n *xmltree.Node, up *xmltree.PathNode) error
@@ -166,27 +183,23 @@ func GenerateKeysObserved(ctx context.Context, doc *xmltree.Document, cfg *confi
 		}
 		at := up.Child(n.Name)
 		pushed := false
-		if c := candidateOf(n, at); c != nil {
-			t := tables[c.Name]
-			if err := lim.CheckRows(len(t.Rows) + 1); err != nil {
+		if k := candidateOf(n, at); k >= 0 {
+			c := &cfg.Candidates[k]
+			if err := lim.CheckRows(rows[k].n + 1); err != nil {
 				return err
 			}
 			row, err := buildRow(n, c)
 			if err != nil {
 				return err
 			}
-			t.byEID[row.EID] = len(t.Rows)
-			t.Rows = append(t.Rows, row)
 			if len(stack) > 0 {
-				parent := stack[len(stack)-1]
-				pt := tables[parent.cand.Name]
-				pr := &pt.Rows[parent.row]
+				pr := stack[len(stack)-1]
 				if pr.Desc == nil {
 					pr.Desc = make(map[string][]int, 2)
 				}
 				pr.Desc[c.Name] = append(pr.Desc[c.Name], row.EID)
 			}
-			stack = append(stack, open{cand: c, row: len(t.Rows) - 1})
+			stack = append(stack, rows[k].add(row))
 			pushed = true
 		}
 		for _, ch := range n.Children {
@@ -199,7 +212,11 @@ func GenerateKeysObserved(ctx context.Context, doc *xmltree.Document, cfg *confi
 		}
 		return nil
 	}
-	if err := walk(doc.Root, plain.Root()); err != nil {
+	err = walk(doc.Root, plain.Root())
+	for k := range rows {
+		tables[cfg.Candidates[k].Name].Rows = rows[k].rows()
+	}
+	if err != nil {
 		if isInterruption(err) {
 			// Keep the rows extracted so far: the caller may still
 			// inspect or persist the partial tables.
@@ -209,6 +226,40 @@ func GenerateKeysObserved(ctx context.Context, doc *xmltree.Document, cfg *confi
 	}
 
 	return &KeyGenResult{Tables: tables, Duration: time.Since(start)}, nil
+}
+
+// rowChunks accumulates one table's rows during key generation. Rows
+// sit in chunks that never move, so an open instance is updated in
+// place through a stable pointer, and the table receives its rows in
+// one exact-size copy at the end instead of a row slice regrown (and
+// every row re-copied) as it fills.
+type rowChunks struct {
+	chunks [][]GKRow
+	n      int
+}
+
+// add stores row and returns a pointer to the stored copy, valid until
+// rows is called.
+func (rc *rowChunks) add(row GKRow) *GKRow {
+	if len(rc.chunks) == 0 || len(rc.chunks[len(rc.chunks)-1]) == cap(rc.chunks[len(rc.chunks)-1]) {
+		rc.chunks = append(rc.chunks, make([]GKRow, 0, min(max(rc.n, 64), 4096)))
+	}
+	last := &rc.chunks[len(rc.chunks)-1]
+	*last = append(*last, row)
+	rc.n++
+	return &(*last)[len(*last)-1]
+}
+
+// rows returns the accumulated rows in insertion order (nil if none).
+func (rc *rowChunks) rows() []GKRow {
+	if rc.n == 0 {
+		return nil
+	}
+	out := make([]GKRow, 0, rc.n)
+	for _, c := range rc.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // newGKTables returns an empty GK table per candidate, keyed by
@@ -229,7 +280,6 @@ func newGKTables(cfg *config.Config) (map[string]*GKTable, error) {
 			Candidate: c,
 			fields:    fields,
 			bounds:    similarity.FieldBounds(simNames),
-			byEID:     make(map[int]int),
 		}
 	}
 	return tables, nil
@@ -262,16 +312,26 @@ func buildRow(n *xmltree.Node, c *config.Candidate) (GKRow, error) {
 
 	// Raw value per referenced path, extracted once and shared between
 	// key generation and the OD (the paper's "save an extra pass").
-	values := make(map[int][]string, len(c.Paths))
-	for _, pd := range c.Paths {
-		values[pd.ID] = pd.Path().SelectValues(n)
+	// values is aligned with c.Paths; a candidate has a handful of
+	// paths, so a linear scan by ID beats a per-row map.
+	var buf [8][]string
+	values := buf[:0]
+	for i := range c.Paths {
+		values = append(values, c.Paths[i].Path().SelectValues(n))
+	}
+	valuesOf := func(pid int) []string {
+		for i := range c.Paths {
+			if c.Paths[i].ID == pid {
+				return values[i]
+			}
+		}
+		return nil
 	}
 	first := func(pid int) string {
-		v := values[pid]
-		if len(v) == 0 {
-			return ""
+		if v := valuesOf(pid); len(v) > 0 {
+			return v[0]
 		}
-		return v[0]
+		return ""
 	}
 
 	keys := c.CompiledKeys()
@@ -282,7 +342,7 @@ func buildRow(n *xmltree.Node, c *config.Candidate) (GKRow, error) {
 
 	row.OD = make([][]string, len(c.OD))
 	for i, od := range c.OD {
-		row.OD[i] = values[od.PathID]
+		row.OD[i] = valuesOf(od.PathID)
 	}
 	return row, nil
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/similarity"
 )
 
 // GK persistence: the paper stores the generated keys in "a temporary
@@ -70,24 +69,13 @@ func WriteGK(w io.Writer, kg *KeyGenResult) error {
 // (validated) configuration; candidate names, key counts, and OD
 // widths must match.
 func ReadGK(r io.Reader, cfg *config.Config) (*KeyGenResult, error) {
-	tables := make(map[string]*GKTable, len(cfg.Candidates))
-	for i := range cfg.Candidates {
-		c := &cfg.Candidates[i]
-		fields, err := c.ODFields()
-		if err != nil {
-			return nil, fmt.Errorf("core: candidate %q: %w", c.Name, err)
-		}
-		simNames := make([]string, len(c.OD))
-		for j, od := range c.OD {
-			simNames[j] = od.SimFunc
-		}
-		tables[c.Name] = &GKTable{
-			Candidate: c,
-			fields:    fields,
-			bounds:    similarity.FieldBounds(simNames),
-			byEID:     make(map[int]int),
-		}
+	tables, err := newGKTables(cfg)
+	if err != nil {
+		return nil, err
 	}
+	// seen holds the EIDs read so far per table: the pass order breaks
+	// key ties by EID, which is a total order only if no EID repeats.
+	seen := make(map[*GKTable]map[int]bool, len(tables))
 
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -173,7 +161,13 @@ func ReadGK(r io.Reader, cfg *config.Config) (*KeyGenResult, error) {
 			return nil, fmt.Errorf("core: gk line %d: candidate %q: %w", lineNo, cand, err)
 		}
 		row.Desc = desc
-		cur.byEID[row.EID] = len(cur.Rows)
+		if seen[cur] == nil {
+			seen[cur] = make(map[int]bool)
+		}
+		if seen[cur][eid] {
+			return nil, fmt.Errorf("core: gk line %d: candidate %q: repeated eid %d", lineNo, cand, eid)
+		}
+		seen[cur][eid] = true
 		cur.Rows = append(cur.Rows, row)
 		gotRows++
 	}

@@ -164,6 +164,36 @@ func TestReadGKErrorDiagnostics(t *testing.T) {
 	}
 }
 
+// TestReadGKRejectsRepeatedEID: a dump that gives one element ID twice
+// within a candidate — in one section or across two — is refused with
+// the line of the repeat, instead of loading a table whose pass order
+// (key, then EID) is no longer total. The same ID in two different
+// candidates is no conflict.
+func TestReadGKRejectsRepeatedEID(t *testing.T) {
+	cfg := mustValidate(t, movieConfig(config.RuleCombined))
+	cases := []struct{ name, in, line string }{
+		{"same section", "#gk\tmovie\tkeys=1\tod=1\trows=3\n3\tK\tA\t\n4\tK\tB\t\n3\tL\tC\t\n", "line 4"},
+		{"second section", "#gk\tmovie\tkeys=1\tod=1\trows=1\n3\tK\tA\t\n#gk\tmovie\tkeys=1\tod=1\trows=1\n3\tL\tC\t\n", "line 4"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ReadGK(strings.NewReader(c.in), cfg)
+			if err == nil {
+				t.Fatalf("ReadGK accepted a repeated eid: %q", c.in)
+			}
+			for _, frag := range []string{c.line, `"movie"`, "repeated eid 3"} {
+				if !strings.Contains(err.Error(), frag) {
+					t.Errorf("error %q does not mention %q", err, frag)
+				}
+			}
+		})
+	}
+	two := "#gk\tmovie\tkeys=1\tod=1\trows=1\n3\tK\tA\t\n#gk\tperson\tkeys=1\tod=1\trows=1\n3\tK\tA\t\n"
+	if _, err := ReadGK(strings.NewReader(two), cfg); err != nil {
+		t.Errorf("one eid in two candidates rejected: %v", err)
+	}
+}
+
 // A v1 dump without rows= still loads (forward compatibility with
 // pre-rows checkpoints and saved GK files).
 func TestReadGKAcceptsHeaderWithoutRows(t *testing.T) {

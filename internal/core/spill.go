@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -29,15 +30,32 @@ import (
 // are exactly those of the in-memory path, which is what makes the
 // differential suite's byte-identical claim hold.
 
-// gkRowLess is THE sort order of one key pass — byte-wise comparison
-// of the pass key with ties broken by element ID. EIDs are unique per
-// table, so this is a total order: the in-memory sort, the run-file
-// writer, and the k-way merge all produce the identical permutation.
-func gkRowLess(a, b *GKRow, pass int) bool {
-	if a.Keys[pass] != b.Keys[pass] {
-		return a.Keys[pass] < b.Keys[pass]
+// gkRowCompare is THE sort order of one key pass — byte-wise
+// comparison of the pass key with ties broken by element ID. EIDs are
+// unique per table (ReadGK rejects a repeated one), so this is a total
+// order: the in-memory sort, the run-file writer, and the k-way merge
+// all produce the identical permutation, stable or not. passKey.compare
+// is its body, for sorts that carry the key beside the row.
+func gkRowCompare(a, b *GKRow, pass int) int {
+	return a.passKey(pass).compare(b.passKey(pass))
+}
+
+// gkRowLess is gkRowCompare as the strict order extsort takes.
+func gkRowLess(a, b *GKRow, pass int) bool { return gkRowCompare(a, b, pass) < 0 }
+
+// passKey is a row's sort position in one pass: its pass key and EID.
+type passKey struct {
+	key string
+	eid int
+}
+
+func (r *GKRow) passKey(pass int) passKey { return passKey{r.Keys[pass], r.EID} }
+
+func (a passKey) compare(b passKey) int {
+	if c := strings.Compare(a.key, b.key); c != 0 {
+		return c
 	}
-	return a.EID < b.EID
+	return cmp.Compare(a.eid, b.eid)
 }
 
 // rowSource feeds one key pass's sorted rows to the sliding window.
@@ -48,11 +66,10 @@ type rowSource interface {
 	close() error
 }
 
-// memSource streams the resident table through a precomputed sort
-// permutation — the in-memory path expressed as a rowSource.
+// memSource streams the resident table in a pass's sorted order — the
+// in-memory path expressed as a rowSource.
 type memSource struct {
-	t     *GKTable
-	order []int
+	order []sortedRow
 	pos   int
 }
 
@@ -60,7 +77,7 @@ func (m *memSource) next() (*GKRow, error) {
 	if m.pos >= len(m.order) {
 		return nil, nil
 	}
-	r := &m.t.Rows[m.order[m.pos]]
+	r := m.order[m.pos].row
 	m.pos++
 	return r, nil
 }
@@ -418,18 +435,18 @@ func loadSpillManifest(fs extsort.FS, dir string) spillManifest {
 // resolution), the stable file prefix, and the memoized table
 // fingerprint shared by all of the candidate's passes.
 type candSpiller struct {
-	st       *spillState
-	t        *GKTable
-	useDesc  bool
-	clusters map[string]*cluster.ClusterSet
-	cache    *similarity.Cache
-	nKeys    int
-	nOD      int
-	prefix   string
-	fp       string
+	st      *spillState
+	t       *GKTable
+	useDesc bool
+	descCS  []*cluster.ClusterSet // per table descendant type; see setDescTypes
+	cache   *similarity.Cache
+	nKeys   int
+	nOD     int
+	prefix  string
+	fp      string
 	// sketch re-derives the fast-path value sketches per decoded row
 	// (set when the run uses the threshold-aware filter); sketches are
-	// detection-time state like descClusters, never serialized, so
+	// detection-time state like the descendant lists, never serialized, so
 	// spill fingerprints are unaffected.
 	sketch bool
 }
@@ -437,8 +454,12 @@ type candSpiller struct {
 func newCandSpiller(st *spillState, t *GKTable, useDesc bool, clusters map[string]*cluster.ClusterSet, cache *similarity.Cache) *candSpiller {
 	h := fnv.New64a()
 	io.WriteString(h, t.Candidate.Name)
+	var descCS []*cluster.ClusterSet
+	if useDesc {
+		descCS = t.setDescTypes(clusters)
+	}
 	return &candSpiller{
-		st: st, t: t, useDesc: useDesc, clusters: clusters, cache: cache,
+		st: st, t: t, useDesc: useDesc, descCS: descCS, cache: cache,
 		nKeys:  len(t.Candidate.CompiledKeys()),
 		nOD:    len(t.fields),
 		prefix: fmt.Sprintf("c%016x", h.Sum64()),
@@ -479,8 +500,9 @@ func (c *candSpiller) decodeRow(p []byte) (*GKRow, error) {
 		return nil, fmt.Errorf("row %d has %d keys and %d OD fields, candidate wants %d and %d",
 			r.EID, len(r.Keys), len(r.OD), c.nKeys, c.nOD)
 	}
-	if c.useDesc {
-		resolveRowDescClusters(r, c.clusters)
+	if c.useDesc && len(r.Desc) > 0 {
+		r.desc = make([]descList, len(c.t.descTypes))
+		resolveRowDesc(r, c.t.descTypes, c.descCS, nil)
 		if c.cache != nil {
 			internRowDescSets(r, c.cache)
 		}

@@ -63,6 +63,37 @@ func TestGKRowComparator(t *testing.T) {
 	}
 }
 
+// TestSortPassMatchesStableSort checks the in-memory pass sort (an
+// unstable pdqsort under gkRowCompare) against sort.SliceStable under
+// gkRowLess on tables with heavy key ties and EIDs in random order:
+// with unique EIDs the order is total, so both give one permutation.
+func TestSortPassMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	keys := []string{"", "A", "A", "A", "AB", "B", "\xff", "é"}
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(300)
+		rows := make([]GKRow, n)
+		for i, eid := range rng.Perm(n) {
+			rows[i] = GKRow{EID: eid*7 - 100, Keys: []string{keys[rng.Intn(len(keys))], keys[rng.Intn(3)]}}
+		}
+		for pass := 0; pass < 2; pass++ {
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(a, b int) bool { return gkRowLess(&rows[want[a]], &rows[want[b]], pass) })
+			order := make([]sortedRow, n)
+			sortPass(order, rows, pass)
+			for i, r := range order {
+				if r.row != &rows[want[i]] {
+					t.Fatalf("trial %d pass %d: position %d holds EID %d, stable sort has EID %d",
+						trial, pass, i, r.row.EID, rows[want[i]].EID)
+				}
+			}
+		}
+	}
+}
+
 // TestSpillSortMatchesStableSort cross-checks the external sort against
 // sort.SliceStable under the exact comparator, over rows with heavy key
 // duplication, empty keys, and non-ASCII bytes. The merged permutation

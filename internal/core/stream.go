@@ -89,18 +89,24 @@ func GenerateKeysStreamObserved(ctx context.Context, r io.Reader, cfg *config.Co
 	// descendant EIDs observed so far, keyed by candidate name, which
 	// are attached to the row when the instance closes.
 	type openInstance struct {
-		cand *config.Candidate
+		cand int // index in cfg.Candidates
 		root *xmltree.Node
 		desc map[string][]int
 	}
 	var open []openInstance
 	var b xmltree.Builder
+	rows := make([]rowChunks, len(cfg.Candidates))
 
-	// partial returns the tables filled so far together with the typed
-	// interruption cause, preserving completed work.
-	partial := func(cause error) (*KeyGenResult, error) {
-		return &KeyGenResult{Tables: tables, Duration: time.Since(start)}, cause
+	// result hands the rows accumulated so far to their tables; partial
+	// returns them together with the typed interruption cause,
+	// preserving completed work.
+	result := func() *KeyGenResult {
+		for k := range rows {
+			tables[cfg.Candidates[k].Name].Rows = rows[k].rows()
+		}
+		return &KeyGenResult{Tables: tables, Duration: time.Since(start)}
 	}
+	partial := func(cause error) (*KeyGenResult, error) { return result(), cause }
 
 	tokens := 0
 	for {
@@ -128,7 +134,7 @@ func GenerateKeysStreamObserved(ctx context.Context, r io.Reader, cfg *config.Co
 			}
 			e := b.Start(sc)
 			if k >= 0 {
-				open = append(open, openInstance{cand: &cfg.Candidates[k], root: e})
+				open = append(open, openInstance{cand: k, root: e})
 			}
 		case xmltree.EndToken:
 			at = at[:len(at)-1]
@@ -141,24 +147,23 @@ func GenerateKeysStreamObserved(ctx context.Context, r io.Reader, cfg *config.Co
 				continue
 			}
 			open = open[:len(open)-1]
-			tbl := tables[inst.cand.Name]
-			if err := lim.CheckRows(len(tbl.Rows) + 1); err != nil {
+			c := &cfg.Candidates[inst.cand]
+			if err := lim.CheckRows(rows[inst.cand].n + 1); err != nil {
 				return partial(err)
 			}
-			row, err := buildRow(e, inst.cand)
+			row, err := buildRow(e, c)
 			if err != nil {
 				return nil, err
 			}
 			row.Desc = inst.desc
-			tbl.byEID[row.EID] = len(tbl.Rows)
-			tbl.Rows = append(tbl.Rows, row)
+			rows[inst.cand].add(row)
 			// Register with the nearest open candidate.
 			if len(open) > 0 {
 				parent := &open[len(open)-1]
 				if parent.desc == nil {
 					parent.desc = make(map[string][]int, 2)
 				}
-				parent.desc[inst.cand.Name] = append(parent.desc[inst.cand.Name], row.EID)
+				parent.desc[c.Name] = append(parent.desc[c.Name], row.EID)
 			}
 		case xmltree.TextToken:
 			if len(open) > 0 {
@@ -166,5 +171,5 @@ func GenerateKeysStreamObserved(ctx context.Context, r io.Reader, cfg *config.Co
 			}
 		}
 	}
-	return &KeyGenResult{Tables: tables, Duration: time.Since(start)}, nil
+	return result(), nil
 }

@@ -226,7 +226,7 @@ func TestStreamDoesNotRetainDocument(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
-	domHeap := ms.HeapAlloc - base
+	domHeap := int64(ms.HeapAlloc) - int64(base)
 	runtime.KeepAlive(dom)
 	dom = nil
 	runtime.GC()
@@ -239,7 +239,11 @@ func TestStreamDoesNotRetainDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.KeepAlive(kg)
-	held := r.heap - base
+	// The heap is process-wide: something live at the baseline may be
+	// freed while the stream runs. Take the difference signed, so a heap
+	// that ends below the baseline reads as nothing retained instead of
+	// wrapping around to 18 EB.
+	held := max(int64(r.heap)-int64(base), 0)
 	t.Logf("live heap at end of input: stream %d bytes, parsed document %d bytes", held, domHeap)
 	// The GK tables alone take over half the document's heap; holding
 	// the candidate subtrees as well takes more than the document.

@@ -21,10 +21,12 @@
 package keygen
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/similarity"
 	"repro/internal/strutil"
@@ -47,17 +49,29 @@ const (
 
 func (c Class) String() string { return string(byte(c)) }
 
-// extract returns the members of the class found in s, in order.
-func (c Class) extract(s string) []rune {
+// member reports whether r belongs to the class.
+func (c Class) member(r rune) bool {
 	switch c {
 	case Consonant:
-		return strutil.Consonants(s)
+		return strutil.IsConsonant(r)
 	case Char:
-		return strutil.Chars(s)
+		return strutil.IsChar(r)
 	case Digit:
-		return strutil.Digits(s)
+		return strutil.IsDigit(r)
 	}
-	return nil
+	return false
+}
+
+// slot indexes the three positional classes for per-value caches.
+func (c Class) slot() int {
+	switch c {
+	case Consonant:
+		return 0
+	case Char:
+		return 1
+	default:
+		return 2
+	}
 }
 
 // Token selects positions From..To (1-based, inclusive) from one class.
@@ -181,40 +195,50 @@ func parsePos(s string) (int, error) {
 // normalized first; positions with no corresponding character are
 // skipped silently.
 func (p Pattern) Apply(value string) string {
-	norm := strutil.Normalize(value)
-	var b strings.Builder
-	b.Grow(p.MaxLen())
-	// Cache per-class extraction: patterns like "K1,K3" share one scan.
-	var cache [3][]rune
-	classIdx := func(c Class) int {
-		switch c {
-		case Consonant:
-			return 0
-		case Char:
-			return 1
-		default:
-			return 2
+	var buf [64]byte
+	return string(p.appendTo(buf[:0], value))
+}
+
+// appendTo appends Apply(value) to dst. The normalized value and the
+// class members live in stack buffers; only the members a token can
+// reach are extracted, so a long value costs no more than its prefix.
+func (p Pattern) appendTo(dst []byte, value string) []byte {
+	var normBuf [128]byte
+	norm := strutil.AppendNormalize(normBuf[:0], value)
+	// Per class: how many leading members the tokens reach.
+	var need [3]int
+	for _, t := range p.Tokens {
+		if t.Class != SoundexCode && t.To > need[t.Class.slot()] {
+			need[t.Class.slot()] = t.To
 		}
 	}
-	extracted := [3]bool{}
+	var memberBuf [3][32]rune
+	var members [3][]rune
+	var extracted [3]bool
 	for _, t := range p.Tokens {
 		if t.Class == SoundexCode {
-			b.WriteString(similarity.Soundex(norm))
+			dst = append(dst, similarity.Soundex(string(norm))...)
 			continue
 		}
-		i := classIdx(t.Class)
+		i := t.Class.slot()
 		if !extracted[i] {
-			cache[i] = t.Class.extract(norm)
-			extracted[i] = true
-		}
-		chars := cache[i]
-		for pos := t.From; pos <= t.To; pos++ {
-			if pos-1 < len(chars) {
-				b.WriteRune(chars[pos-1])
+			m := memberBuf[i][:0]
+			for _, r := range string(norm) {
+				if len(m) == need[i] {
+					break
+				}
+				if t.Class.member(r) {
+					m = append(m, r)
+				}
 			}
+			members[i], extracted[i] = m, true
+		}
+		chars := members[i]
+		for pos := t.From; pos <= t.To && pos <= len(chars); pos++ {
+			dst = utf8.AppendRune(dst, chars[pos-1])
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // Part is one component of a key definition: a pattern applied to the
@@ -228,27 +252,30 @@ type Part struct {
 }
 
 // Key is a full key definition — the KEY_{s,i} relation of Sec. 3.2 —
-// as an ordered list of parts.
+// as a list of parts in Order order (NewKey sorts them).
 type Key struct {
 	Name  string // optional display name, e.g. "key1"
 	Parts []Part
 }
 
-// Sorted returns the parts in Order; the receiver is not modified.
-func (k Key) Sorted() []Part {
-	parts := make([]Part, len(k.Parts))
-	copy(parts, k.Parts)
-	sort.SliceStable(parts, func(i, j int) bool { return parts[i].Order < parts[j].Order })
-	return parts
+// NewKey returns a key definition with the parts sorted by Order once,
+// so Generate can apply them in slice order. The caller's slice is not
+// modified.
+func NewKey(name string, parts []Part) Key {
+	sorted := slices.Clone(parts)
+	slices.SortStableFunc(sorted, func(a, b Part) int { return cmp.Compare(a.Order, b.Order) })
+	return Key{Name: name, Parts: sorted}
 }
 
 // Generate builds the key string for an element whose path values are
 // provided by lookup (mapping PathID to the raw extracted value; a
-// missing path yields the empty string).
+// missing path yields the empty string). Parts are applied in slice
+// order, which NewKey makes the Order order.
 func (k Key) Generate(lookup func(pathID int) string) string {
-	var b strings.Builder
-	for _, part := range k.Sorted() {
-		b.WriteString(part.Pattern.Apply(lookup(part.PathID)))
+	var buf [64]byte
+	b := buf[:0]
+	for _, part := range k.Parts {
+		b = part.Pattern.appendTo(b, lookup(part.PathID))
 	}
-	return b.String()
+	return string(b)
 }

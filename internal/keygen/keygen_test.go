@@ -124,10 +124,11 @@ func TestMaxLen(t *testing.T) {
 }
 
 func TestKeyPartsSortedByOrder(t *testing.T) {
-	k := Key{Parts: []Part{
+	parts := []Part{
 		{PathID: 1, Order: 2, Pattern: MustCompile("C1")},
 		{PathID: 2, Order: 1, Pattern: MustCompile("D1")},
-	}}
+	}
+	k := NewKey("k", parts)
 	got := k.Generate(func(pid int) string {
 		if pid == 1 {
 			return "X"
@@ -137,9 +138,9 @@ func TestKeyPartsSortedByOrder(t *testing.T) {
 	if got != "7X" {
 		t.Errorf("Generate = %q, want 7X (order must win over slice position)", got)
 	}
-	// Sorted must not mutate the receiver.
-	if k.Parts[0].Order != 2 {
-		t.Error("Sorted mutated the key definition")
+	// NewKey must not reorder the caller's slice.
+	if parts[0].Order != 2 {
+		t.Error("NewKey mutated the part list it was given")
 	}
 }
 

@@ -248,8 +248,8 @@ func (c *Cache) InternDesc(list []int) SetID {
 // Equal IDs short-circuit to 1 (equal multisets by construction —
 // including empty vs empty, where Overlap is vacuously 1); other pairs
 // are memoized. The result is exactly Overlap applied to the interned
-// multisets: overlap arithmetic is integer counting, unaffected by the
-// canonical ordering.
+// multisets: the canonical lists are sorted, so OverlapSorted counts
+// the same intersection.
 func (c *Cache) OverlapIDs(x, y SetID) float64 {
 	if x == y {
 		c.hits.Add(1)
@@ -260,7 +260,7 @@ func (c *Cache) OverlapIDs(x, y SetID) float64 {
 		return v
 	}
 	c.misses.Add(1)
-	v := Overlap(c.desc.list(x), c.desc.list(y))
+	v := OverlapSorted(c.desc.list(x), c.desc.list(y))
 	c.evictions.Add(c.desc.overlapPut(x, y, v))
 	return v
 }

@@ -129,6 +129,33 @@ func Overlap(a, b []int) float64 {
 	return float64(inter) / float64(union)
 }
 
+// OverlapSorted is Overlap for lists sorted ascending: one merge of
+// the two lists counts the multiset intersection, with no allocation.
+// The result is bit-identical to Overlap on the same multisets.
+func OverlapSorted(a, b []int) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	inter := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] == b[j]:
+			inter++
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	union := len(a) + len(b) - inter
+	return float64(inter) / float64(union)
+}
+
 // Average aggregates per-descendant-type similarities — the paper's
 // current agg() implementation. NaN-free: an empty slice yields 0.
 func Average(sims []float64) float64 {

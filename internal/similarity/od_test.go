@@ -2,6 +2,8 @@ package similarity
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -179,5 +181,25 @@ func TestCombine(t *testing.T) {
 	}
 	if got := Combine(1, 0, -1, true); got != 0 {
 		t.Errorf("clamp low = %v, want 0", got)
+	}
+}
+
+// TestOverlapSortedMatchesOverlap checks the allocation-free merge
+// against the map-counting Overlap on random sorted multisets.
+func TestOverlapSortedMatchesOverlap(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	list := func() []int {
+		var l []int
+		for i := rng.Intn(7); i > 0; i-- {
+			l = append(l, rng.Intn(5)-1)
+		}
+		slices.Sort(l)
+		return l
+	}
+	for i := 0; i < 5000; i++ {
+		a, b := list(), list()
+		if got, want := OverlapSorted(a, b), Overlap(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("OverlapSorted(%v, %v) = %v, Overlap = %v", a, b, got, want)
+		}
 	}
 }

@@ -10,6 +10,7 @@ package strutil
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // vowels is the set of characters treated as vowels by the consonant
@@ -25,6 +26,9 @@ func IsVowel(r rune) bool {
 // IsConsonant reports whether r is a letter that is not a vowel.
 // This implements the K character class of SXNM key patterns.
 func IsConsonant(r rune) bool {
+	if r < utf8.RuneSelf {
+		return asciiLetter(r) && !strings.ContainsRune(vowels, r&^0x20)
+	}
 	return unicode.IsLetter(r) && !IsVowel(r)
 }
 
@@ -33,12 +37,24 @@ func IsConsonant(r rune) bool {
 // keys built from titles are insensitive to spacing and punctuation
 // differences between duplicates.
 func IsChar(r rune) bool {
+	if r < utf8.RuneSelf {
+		return asciiLetter(r) || '0' <= r && r <= '9'
+	}
 	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
 // IsDigit reports whether r belongs to the D character class.
 func IsDigit(r rune) bool {
+	if r < utf8.RuneSelf {
+		return '0' <= r && r <= '9'
+	}
 	return unicode.IsDigit(r)
+}
+
+// asciiLetter is unicode.IsLetter for an ASCII rune.
+func asciiLetter(r rune) bool {
+	r |= 0x20
+	return 'a' <= r && r <= 'z'
 }
 
 // foldRune maps common Latin letters with diacritics to their ASCII
@@ -116,24 +132,87 @@ func Fold(s string) string {
 // keys are generated. Each rune is lower-cased before it is folded and
 // upper-cased, so a letter and its lower case always normalize alike
 // (the capital sharp S, whose lower case is ß, and the Kelvin sign,
-// whose lower case is k, would not otherwise).
+// whose lower case is k, would not otherwise). An ASCII value that is
+// already in canonical form is returned as is, without allocating.
 func Normalize(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
+	if isNormalASCII(s) {
+		return s
+	}
+	var buf [64]byte
+	return string(AppendNormalize(buf[:0], s))
+}
+
+// AppendNormalize appends Normalize(s) to dst and returns the extended
+// slice. ASCII input takes a byte loop; anything else takes the rune
+// loop, which FuzzNormalize pins the byte loop against.
+func AppendNormalize(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return appendNormalizeRunes(dst, s)
+		}
+	}
+	return appendNormalizeASCII(dst, s)
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// isNormalASCII reports whether s is ASCII and already canonical: no
+// lower-case letters, no whitespace but single inner spaces.
+func isNormalASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= utf8.RuneSelf || 'a' <= c && c <= 'z':
+			return false
+		case asciiSpace[c]:
+			if c != ' ' || i == 0 || i == len(s)-1 || s[i+1] == ' ' {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// appendNormalizeASCII is the rune loop below specialized to ASCII,
+// where folding is the identity and case mapping is a byte offset.
+func appendNormalizeASCII(dst []byte, s string) []byte {
+	start := len(dst)
+	space := false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if asciiSpace[c] {
+			space = len(dst) > start
+			continue
+		}
+		if space {
+			dst = append(dst, ' ')
+			space = false
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+func appendNormalizeRunes(dst []byte, s string) []byte {
+	start := len(dst)
 	space := false
 	for _, r := range s {
 		r = foldRune(unicode.ToLower(r))
 		if unicode.IsSpace(r) {
-			space = b.Len() > 0
+			space = len(dst) > start
 			continue
 		}
 		if space {
-			b.WriteByte(' ')
+			dst = append(dst, ' ')
 			space = false
 		}
-		b.WriteRune(unicode.ToUpper(r))
+		dst = utf8.AppendRune(dst, unicode.ToUpper(r))
 	}
-	return b.String()
+	return dst
 }
 
 // Extract returns the runes of s (in order) for which class returns

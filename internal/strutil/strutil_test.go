@@ -229,3 +229,43 @@ func TestFoldTableComplete(t *testing.T) {
 		}
 	}
 }
+
+// FuzzNormalize pins Normalize's ASCII byte loop and its
+// already-canonical shortcut against the rune loop, which is correct
+// for every input: both must agree byte for byte, also when appending
+// after existing bytes (leading whitespace is dropped relative to the
+// appended part, not to the whole buffer).
+func FuzzNormalize(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "The  Matrix ", "ABC DEF", "ABC  DEF", " LEAD", "TRAIL ",
+		"a\tb\nc\vd\fe\rf", "\x00\x7f~@[`{", "1999", "Amélie", "\xff", "K", "ẞ", "a b",
+		"The quick brown fox jumps over the lazy dog",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want := string(appendNormalizeRunes(nil, s))
+		if got := Normalize(s); got != want {
+			t.Fatalf("Normalize(%q) = %q, rune loop gives %q", s, got, want)
+		}
+		if got := string(AppendNormalize([]byte("x"), s)); got != "x"+want {
+			t.Fatalf("AppendNormalize(%q, %q) = %q, want %q", "x", s, got, "x"+want)
+		}
+	})
+}
+
+// TestClassPredicatesASCII checks the ASCII shortcuts of the K, C and D
+// class predicates against the unicode tables they stand in for.
+func TestClassPredicatesASCII(t *testing.T) {
+	for r := rune(0); r < 0x80; r++ {
+		if got, want := IsConsonant(r), unicode.IsLetter(r) && !IsVowel(r); got != want {
+			t.Errorf("IsConsonant(%q) = %v, want %v", r, got, want)
+		}
+		if got, want := IsChar(r), unicode.IsLetter(r) || unicode.IsDigit(r); got != want {
+			t.Errorf("IsChar(%q) = %v, want %v", r, got, want)
+		}
+		if got, want := IsDigit(r), unicode.IsDigit(r); got != want {
+			t.Errorf("IsDigit(%q) = %v, want %v", r, got, want)
+		}
+	}
+}

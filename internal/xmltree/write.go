@@ -95,7 +95,7 @@ func writeNode(w *bufio.Writer, n *Node, indent string, depth int) error {
 		if _, err := w.WriteString(`="`); err != nil {
 			return err
 		}
-		if err := escapeAttr(w, a.Value); err != nil {
+		if err := EscapeAttr(w, a.Value); err != nil {
 			return err
 		}
 		if err := w.WriteByte('"'); err != nil {
@@ -164,7 +164,11 @@ func escapeText(w *bufio.Writer, s string) error {
 	return nil
 }
 
-func escapeAttr(w *bufio.Writer, s string) error {
+// EscapeAttr writes s as the serializer writes an attribute value
+// between double quotes: markup characters, quotes, newlines and tabs
+// escaped, everything else verbatim. Writers that stream XML without
+// building a Document use it to produce the serializer's exact bytes.
+func EscapeAttr(w *bufio.Writer, s string) error {
 	for _, r := range s {
 		var rep string
 		switch r {

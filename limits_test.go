@@ -99,9 +99,14 @@ func TestUncancelledRunByteIdenticalToSeed(t *testing.T) {
 	if viaCtx.Incomplete != nil {
 		t.Fatal("uncancelled run must be complete")
 	}
-	a := ClustersDocument(plain).String()
-	b := ClustersDocument(viaCtx).String()
-	if a != b {
+	var a, b strings.Builder
+	if err := WriteClustersXML(&a, plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteClustersXML(&b, viaCtx); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
 		t.Error("cancelable context changed the serialized cluster output")
 	}
 }
