@@ -78,6 +78,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzBoundSoundness -fuzztime $(FUZZTIME) ./internal/similarity
 	$(GO) test -run '^$$' -fuzz FuzzMergeInvariants -fuzztime $(FUZZTIME) ./internal/extsort
 	$(GO) test -run '^$$' -fuzz FuzzSpillRowCodec -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzRowsFromTokens -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzJobConfigDecode -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzLeaseDecode -fuzztime $(FUZZTIME) ./internal/server
 

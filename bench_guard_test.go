@@ -157,7 +157,7 @@ func TestFrontEndAllocs(t *testing.T) {
 		t.Fatalf("%s has no %q ledger (%v) — run `make bench-baseline`", benchBaselineFile, benchLayersKey, err)
 	}
 	forEachLedgerCase(ledgerCorpora(t), func(key string, op func() error) {
-		if ledgerDetectSpilled && strings.HasPrefix(key, "detect/") {
+		if ledgerDetectSpilled && (strings.HasPrefix(key, "detect/") || strings.HasPrefix(key, "e2e/")) {
 			t.Logf("%s: skipped, the smallspill tag runs Detect through the spill path", key)
 			return
 		}

@@ -567,10 +567,10 @@ func BenchmarkAblationGKPersistence(b *testing.B) {
 }
 
 // ledgerCorpus is one corpus of the layer ledger: its serialized
-// bytes, its parsed document, a validated configuration whose candidate
-// paths are plain (so both key generators accept it), its GK tables
-// generated once (the detect layer's input), and a detected result (the
-// export layer's input).
+// bytes, its parsed document, a validated configuration, its GK tables
+// generated once (the detect layer's input), a detected result (the
+// export layer's input), and a Detector with the detect layer's
+// options (the end-to-end case's).
 type ledgerCorpus struct {
 	name string
 	xml  []byte
@@ -578,6 +578,7 @@ type ledgerCorpus struct {
 	cfg  *config.Config
 	kg   *core.KeyGenResult
 	res  *Result
+	det  *Detector
 }
 
 // ledgerDetectOptions are the detect layer's options: the shipped
@@ -618,6 +619,9 @@ func ledgerCorpora(tb testing.TB) []ledgerCorpus {
 		if c.res, err = core.Detect(c.kg, c.cfg, ledgerDetectOptions); err != nil {
 			tb.Fatal(err)
 		}
+		if c.det, err = NewWithOptions(c.cfg, ledgerDetectOptions); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	return out
 }
@@ -625,7 +629,8 @@ func ledgerCorpora(tb testing.TB) []ledgerCorpus {
 // ledgerLayers are the ledger's layers, each one operation over a
 // corpus: the XML scan into a DOM, DOM key generation over a parsed
 // document, streaming key generation straight from bytes, detection
-// over the corpus's GK tables, and the cluster export. Detection reuses
+// over the corpus's GK tables, the cluster export, and end to end the
+// reader path from XML bytes to the cluster file. Detection reuses
 // one set of tables, so the value sketches the first run builds are
 // kept (as for any Detect over the same tables): the layer measures
 // the passes, Def. 3 resolution and the closure. A layer with a corpus
@@ -653,6 +658,13 @@ var ledgerLayers = []struct {
 	}},
 	{"export", "cds150", func(c ledgerCorpus) error {
 		return WriteClustersXML(io.Discard, c.res)
+	}},
+	{"e2e", "", func(c ledgerCorpus) error {
+		res, err := c.det.RunReader(bytes.NewReader(c.xml))
+		if err != nil {
+			return err
+		}
+		return WriteClustersXML(io.Discard, res)
 	}},
 }
 
@@ -701,3 +713,7 @@ func BenchmarkDetectLayer(b *testing.B) { benchLayer(b, "detect") }
 
 // BenchmarkExportClusters measures the cluster-set XML export.
 func BenchmarkExportClusters(b *testing.B) { benchLayer(b, "export") }
+
+// BenchmarkEndToEnd measures the reader path from XML bytes to the
+// cluster file.
+func BenchmarkEndToEnd(b *testing.B) { benchLayer(b, "e2e") }

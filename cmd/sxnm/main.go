@@ -10,6 +10,12 @@
 // -clusters the detected duplicate clusters are printed per candidate;
 // with -output a de-duplicated copy of the input is written.
 //
+// A run builds its GK rows straight from the input's tokens, without
+// parsing it into a tree, unless an output needs the document:
+// -output, -clusters, -clusters-csv and -checkpoint parse it first.
+// -stream refuses those outputs. -gk-out writes the run's GK
+// relations, -gk-in runs detection over saved ones.
+//
 // Operational limits: -timeout bounds the wall clock, -max-depth and
 // -max-nodes reject oversized documents at parse time, and
 // -max-comparisons caps the sliding-window work. An interrupted run
@@ -70,6 +76,7 @@ import (
 	_ "net/http/pprof"
 
 	sxnm "repro"
+	"repro/internal/core"
 	"repro/internal/xmltree"
 )
 
@@ -95,8 +102,8 @@ func run(args []string) error {
 		stats      = fs.Bool("stats", false, "print phase timings and comparison counts")
 		csvPath    = fs.String("clusters-csv", "", "write duplicate groups as CSV here")
 		xmlPath    = fs.String("clusters-xml", "", "write the full cluster sets as XML here")
-		stream     = fs.Bool("stream", false, "streaming key generation (bounded memory; summary and stats only)")
-		gkOut      = fs.String("gk-out", "", "write the generated GK relations here (phase 1 only)")
+		stream     = fs.Bool("stream", false, "refuse the outputs that need the parsed document (-output, -clusters, -clusters-csv, -checkpoint); runs without them stream anyway")
+		gkOut      = fs.String("gk-out", "", "write the run's GK relations here (reload them with -gk-in)")
 		gkIn       = fs.String("gk-in", "", "run detection over previously saved GK relations instead of -input")
 		ckptDir    = fs.String("checkpoint", "", "persist progress to this directory and auto-resume from it")
 		timeout    = fs.Duration("timeout", 0, "abort the run after this wall-clock duration (0 = unlimited)")
@@ -166,6 +173,7 @@ func run(args []string) error {
 	defer stop()
 
 	var doc *sxnm.Document
+	var docFP string
 	var res *sxnm.Result
 	var runErr error
 	if *ckptDir != "" && (*stream || *gkIn != "") {
@@ -173,8 +181,12 @@ func run(args []string) error {
 		// no document fingerprint to bind the checkpoint to.
 		return fmt.Errorf("-checkpoint cannot be combined with -stream or -gk-in")
 	}
+	// Only these outputs read the document itself; every other run
+	// builds its GK rows straight from the input's tokens.
+	needDoc := *outputPath != "" || *clusters || *csvPath != "" || *ckptDir != ""
 	o.startProgress()
-	if *gkIn != "" {
+	switch {
+	case *gkIn != "":
 		if *stream || *outputPath != "" || *clusters || *csvPath != "" || *gkOut != "" {
 			return fmt.Errorf("-gk-in supports only the summary, -stats, and -clusters-xml outputs")
 		}
@@ -184,12 +196,9 @@ func run(args []string) error {
 		}
 		defer f.Close()
 		res, runErr = det.RunFromGKContext(ctx, f)
-	} else if *stream {
-		if *outputPath != "" || *clusters || *csvPath != "" {
-			return fmt.Errorf("-stream supports only the summary, -stats, and -clusters-xml outputs (no document is materialized)")
-		}
-		res, runErr = det.RunStreamFileContext(ctx, *inputPath)
-	} else {
+	case needDoc && *stream:
+		return fmt.Errorf("-stream refuses -output, -clusters and -clusters-csv: they need the parsed document")
+	case needDoc:
 		sp := o.ob.StartSpan("parse")
 		doc, err = xmltree.ParseFileWithLimits(*inputPath, lim)
 		sp.End()
@@ -201,11 +210,20 @@ func run(args []string) error {
 		} else {
 			res, runErr = det.RunContext(ctx, doc)
 		}
+	case *reportOut != "":
+		res, docFP, runErr = det.RunFileFingerprint(ctx, *inputPath)
+	default:
+		res, runErr = det.RunFileContext(ctx, *inputPath)
 	}
 	o.stopProgress()
 	// Observability outputs are written for interrupted runs too: a
 	// cut-short job still leaves its trace, metrics, and report behind.
-	if oerr := o.finish(cfg, doc); oerr != nil {
+	if doc != nil && *reportOut != "" {
+		if docFP, err = sxnm.DocumentFingerprint(doc); err != nil {
+			docFP = ""
+		}
+	}
+	if oerr := o.finish(cfg, docFP); oerr != nil {
 		if runErr == nil {
 			return oerr
 		}
@@ -235,7 +253,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := det.WriteGK(doc, f); err != nil {
+		if err := core.WriteGK(f, &core.KeyGenResult{Tables: res.Tables}); err != nil {
 			f.Close()
 			return err
 		}
@@ -394,7 +412,7 @@ func (o *observability) stopProgress() {
 
 // finish flushes the trace and writes the -metrics and -report
 // outputs. Called after the run regardless of how it ended.
-func (o *observability) finish(cfg *sxnm.Config, doc *sxnm.Document) error {
+func (o *observability) finish(cfg *sxnm.Config, docFP string) error {
 	if o.ob == nil {
 		return nil
 	}
@@ -423,11 +441,7 @@ func (o *observability) finish(cfg *sxnm.Config, doc *sxnm.Document) error {
 		if fp, err := sxnm.ConfigFingerprint(cfg); err == nil {
 			rep.ConfigFingerprint = fp
 		}
-		if doc != nil {
-			if fp, err := sxnm.DocumentFingerprint(doc); err == nil {
-				rep.DocFingerprint = fp
-			}
-		}
+		rep.DocFingerprint = docFP
 		if err := writeTo(o.report, func(w io.Writer) error {
 			return rep.WriteJSON(w)
 		}); err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,6 +9,9 @@ import (
 	"testing"
 
 	sxnm "repro"
+	"repro/internal/config"
+	"repro/internal/dataset"
+	"repro/internal/xmltree"
 )
 
 const testConfig = `
@@ -227,6 +231,89 @@ func TestRunCheckpointFlagConflicts(t *testing.T) {
 	} {
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "-checkpoint") {
 			t.Errorf("%v: want -checkpoint conflict error, got %v", args, err)
+		}
+	}
+}
+
+// corpusFiles writes a generated CD corpus (four nested candidates)
+// and its configuration.
+func corpusFiles(t *testing.T, dir string) (cfgPath, dataPath string) {
+	t.Helper()
+	doc, err := dataset.DataSet2(dataset.CDs2Options{Discs: 120, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgPath = filepath.Join(dir, "cfg.xml")
+	if err := config.DataSet2(4).Document().WriteFile(cfgPath, xmltree.WriteOptions{Indent: "  ", Header: true}); err != nil {
+		t.Fatal(err)
+	}
+	return cfgPath, write(t, dir, "data.xml", doc.String())
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestRunStreamGKOut writes -gk-out from a -stream run, which has no
+// document to run key generation over again, and requires the bytes a
+// run over the parsed document writes.
+func TestRunStreamGKOut(t *testing.T) {
+	dir := t.TempDir()
+	cfg, data := corpusFiles(t, dir)
+	streamGK, domGK := filepath.Join(dir, "stream.gk"), filepath.Join(dir, "dom.gk")
+	if err := run([]string{"-config", cfg, "-input", data, "-stream", "-gk-out", streamGK}); err != nil {
+		t.Fatalf("-stream -gk-out: %v", err)
+	}
+	if err := run([]string{"-config", cfg, "-input", data, "-clusters-csv", filepath.Join(dir, "c.csv"), "-gk-out", domGK}); err != nil {
+		t.Fatalf("-gk-out over the document: %v", err)
+	}
+	got, want := readFile(t, streamGK), readFile(t, domGK)
+	if len(want) == 0 || string(got) != string(want) {
+		t.Fatalf("-stream -gk-out wrote %d bytes, the document run %d; they differ", len(got), len(want))
+	}
+}
+
+// TestRunDefaultMatchesDocumentRun compares the default run, which
+// builds its rows from tokens, with a run that -clusters-csv forces onto
+// the parsed document: the same -clusters-xml bytes, and the same
+// report doc_fingerprint as the parsed tree's.
+func TestRunDefaultMatchesDocumentRun(t *testing.T) {
+	dir := t.TempDir()
+	cfg, data := corpusFiles(t, dir)
+	tokXML, domXML := filepath.Join(dir, "tok.xml"), filepath.Join(dir, "dom.xml")
+	tokRep, domRep := filepath.Join(dir, "tok.json"), filepath.Join(dir, "dom.json")
+	if err := run([]string{"-config", cfg, "-input", data, "-clusters-xml", tokXML, "-report", tokRep}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-config", cfg, "-input", data, "-clusters-xml", domXML, "-report", domRep,
+		"-clusters-csv", filepath.Join(dir, "c.csv")}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := readFile(t, tokXML), readFile(t, domXML); string(got) != string(want) {
+		t.Fatal("-clusters-xml of the default run differs from the document run's")
+	}
+	doc, err := sxnm.ParseXMLFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sxnm.DocumentFingerprint(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range []string{tokRep, domRep} {
+		var r struct {
+			DocFingerprint string `json:"doc_fingerprint"`
+		}
+		if err := json.Unmarshal(readFile(t, rep), &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.DocFingerprint != want {
+			t.Errorf("%s: doc_fingerprint %q, want %q", filepath.Base(rep), r.DocFingerprint, want)
 		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"os"
 	"path/filepath"
@@ -103,6 +104,30 @@ func DocumentFingerprint(doc *xmltree.Document) (string, error) {
 		return "", fmt.Errorf("checkpoint: fingerprint document: %w", err)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// TokenFingerprint hashes a document from its tokens while a scanner
+// reads it, for runs that never build the tree: once the scanner has
+// returned io.EOF, Sum equals DocumentFingerprint of the tree the same
+// input parses into.
+type TokenFingerprint struct {
+	h hash.Hash
+	w *bufio.Writer
+}
+
+// FingerprintTokens attaches a TokenFingerprint to sc, which must not
+// have yielded a token yet.
+func FingerprintTokens(sc *xmltree.Scanner) *TokenFingerprint {
+	h := sha256.New()
+	f := &TokenFingerprint{h: h, w: bufio.NewWriter(h)}
+	sc.Canonical(f.w)
+	return f
+}
+
+// Sum returns the fingerprint of the tokens written so far.
+func (f *TokenFingerprint) Sum() string {
+	f.w.Flush() // a hash never fails a write
+	return hex.EncodeToString(f.h.Sum(nil))
 }
 
 // State is the durable progress recovered from a checkpoint.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/runlimit"
 	"repro/internal/xmltree"
 )
 
@@ -427,6 +429,46 @@ func TestFieldEscapeRoundTrip(t *testing.T) {
 	for _, s := range []string{"", "plain", "tab\tand\nnewline", "100%", "%09", "a%b\rc", "ünïcode"} {
 		if got := unescapeField(escapeField(s)); got != s {
 			t.Errorf("round trip %q -> %q", s, got)
+		}
+	}
+}
+
+// TestTokenFingerprintMatchesDocument hashes documents from their
+// tokens and requires DocumentFingerprint of the parsed tree, for a
+// generated corpus pretty-printed and compact and for markup the
+// serializer rewrites (comments, CDATA, references, empty elements).
+func TestTokenFingerprintMatchesDocument(t *testing.T) {
+	doc := corpusDoc(t)
+	inputs := []string{
+		doc.String(),
+		`<?xml version="1.0"?><!DOCTYPE r><r a="x&#10;&quot;y"><e></e><f/>t<!--c-->u<![CDATA[<&>]]>` +
+			"\r\n<g b='\t'>&lt;&#x263A;</g>  </r>\n",
+	}
+	var compact strings.Builder
+	if err := doc.Write(&compact, xmltree.WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, compact.String())
+	for i, in := range inputs {
+		parsed, err := xmltree.ParseString(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := DocumentFingerprint(parsed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := xmltree.NewScanner(strings.NewReader(in), runlimit.Limits{})
+		fp := FingerprintTokens(sc)
+		for {
+			if _, err := sc.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := fp.Sum(); got != want {
+			t.Errorf("input %d: token fingerprint %s, tree %s", i, got, want)
 		}
 	}
 }

@@ -442,29 +442,8 @@ func TestEmptyDocument(t *testing.T) {
 	}
 }
 
-func TestIsPlainPath(t *testing.T) {
-	cases := []struct {
-		p    string
-		want bool
-	}{
-		{"a/b/c", true},
-		{"a", true},
-		{"//a", false},
-		{"a/b[1]", false},
-		{"a/*", false},
-		{"a/@x", false},
-		{"a/text()", false},
-	}
-	for _, c := range cases {
-		if got := isPlainPath(c.p); got != c.want {
-			t.Errorf("isPlainPath(%q) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
 func TestDescendantAxisCandidate(t *testing.T) {
-	// Candidates may be addressed with //; matching falls back to
-	// node-set resolution.
+	// Candidates may be addressed with //.
 	cfg := &config.Config{Candidates: []config.Candidate{{
 		Name:  "person",
 		XPath: "//person",

@@ -605,10 +605,16 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 				cand.Name, startPass, len(keys))
 		}
 	}
-	// Every distinct pair enters the compared set once; sizing it for
-	// the window slots of the passes still to run spares the rehashes
-	// of a growing set (repeats across passes only leave it roomier).
-	size := int(estWindowPairs(len(t.Rows), w)) * (len(keys) - startPass)
+	// The compared set deduplicates pairs across passes only: within
+	// one pass every window pair is distinct, since a table's EIDs are.
+	// So a pass looks pairs up only once an earlier pass (or a resumed
+	// run's seed) may have compared them, and records them only while a
+	// later pass follows; a one-key candidate never hashes a pair.
+	// Sizing the set for the window slots of the recording passes
+	// spares the rehashes of a growing set (repeats across passes only
+	// leave it roomier).
+	seeded := prog != nil && len(prog.Pairs) > 0
+	size := int(estWindowPairs(len(t.Rows), w)) * max(len(keys)-startPass-1, 0)
 	if prog != nil {
 		size += len(prog.Pairs)
 	}
@@ -759,6 +765,8 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 	for pass := startPass; pass < len(keys); pass++ {
 		curPass = pass
 		k := pass
+		lookup := pass > startPass || seeded
+		record := pass+1 < len(keys)
 		passSpan := swSpan.Child(obs.SpanPass,
 			obs.String(obs.AttrCandidate, cand.Name), obs.Int(obs.AttrPass, pass))
 		// interruptPass funnels every budget seam through the one drain
@@ -839,10 +847,14 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 					return interruptPass(err)
 				}
 				key := packPair(a.EID, b.EID)
-				if _, seen := compared[key]; seen {
-					continue
+				if lookup {
+					if _, seen := compared[key]; seen {
+						continue
+					}
 				}
-				compared[key] = struct{}{}
+				if record {
+					compared[key] = struct{}{}
+				}
 				if err := bud.addComparison(); err != nil {
 					return interruptPass(err)
 				}

@@ -95,12 +95,14 @@ type KeyGenResult struct {
 	Duration time.Duration
 }
 
-// GenerateKeys performs the key generation phase (Sec. 3.3): a single
-// walk over the document that, for every candidate instance, generates
-// all defined keys, extracts the object description values, and records
+// GenerateKeys performs the key generation phase (Sec. 3.3) over a
+// parsed document: for every candidate instance it generates all
+// defined keys, extracts the object description values, and records
 // which candidate instances are nested under which (via the nearest
 // candidate ancestor, mirroring the extracted candidate trees of
-// Fig. 3(b)).
+// Fig. 3(b)). It replays the tree as the element and text events
+// GenerateKeysStream reads from tokens, into the same row builder, so
+// the two produce identical tables.
 //
 // The configuration must be validated.
 func GenerateKeys(doc *xmltree.Document, cfg *config.Config) (*KeyGenResult, error) {
@@ -137,129 +139,31 @@ func GenerateKeysObserved(ctx context.Context, doc *xmltree.Document, cfg *confi
 		return &KeyGenResult{Tables: map[string]*GKTable{}, Duration: time.Since(start)}, err
 	}
 
-	tables, err := newGKTables(cfg)
+	b, err := newRowBuilder(cfg, lim)
 	if err != nil {
 		return nil, err
 	}
-
-	// Match elements to candidates by path. Candidate paths that use the
-	// descendant axis or wildcards are resolved up front into an
-	// element-pointer set; plain paths are matched by the walk itself,
-	// which advances a path-trie position per element. Both yield the
-	// candidate's index in cfg.Candidates.
-	plain := plainPathTrie(cfg)
-	special := make(map[*xmltree.Node]int)
-	for i := range cfg.Candidates {
-		c := &cfg.Candidates[i]
-		if isPlainPath(c.XPath) {
-			continue
-		}
-		for _, n := range c.AbsPath().SelectDocument(doc) {
-			special[n] = i
-		}
-	}
-	candidateOf := func(n *xmltree.Node, at *xmltree.PathNode) int {
-		if k, ok := special[n]; ok {
-			return k
-		}
-		return at.Value()
-	}
-
-	// Depth-first walk with an explicit stack of open candidate
-	// instances so each candidate element registers with its nearest
-	// candidate ancestor.
-	rows := make([]rowChunks, len(cfg.Candidates))
-	var stack []*GKRow
 	visited := 0
-	// walk visits n, whose parent sits at trie position up.
-	var walk func(n *xmltree.Node, up *xmltree.PathNode) error
-	walk = func(n *xmltree.Node, up *xmltree.PathNode) error {
-		if n.Kind != xmltree.ElementNode {
-			return nil
-		}
+	var walk func(n *xmltree.Node) error
+	walk = func(n *xmltree.Node) error {
 		visited++
 		if err := bud.poll(visited); err != nil {
 			return err
 		}
-		at := up.Child(n.Name)
-		pushed := false
-		if k := candidateOf(n, at); k >= 0 {
-			c := &cfg.Candidates[k]
-			if err := lim.CheckRows(rows[k].n + 1); err != nil {
-				return err
-			}
-			row, err := buildRow(n, c)
-			if err != nil {
-				return err
-			}
-			if len(stack) > 0 {
-				pr := stack[len(stack)-1]
-				if pr.Desc == nil {
-					pr.Desc = make(map[string][]int, 2)
-				}
-				pr.Desc[c.Name] = append(pr.Desc[c.Name], row.EID)
-			}
-			stack = append(stack, rows[k].add(row))
-			pushed = true
+		if err := b.startNode(n); err != nil {
+			return err
 		}
 		for _, ch := range n.Children {
-			if err := walk(ch, at); err != nil {
+			if ch.Kind == xmltree.TextNode {
+				b.textString(ch.Data)
+			} else if err := walk(ch); err != nil {
 				return err
 			}
 		}
-		if pushed {
-			stack = stack[:len(stack)-1]
-		}
+		b.end()
 		return nil
 	}
-	err = walk(doc.Root, plain.Root())
-	for k := range rows {
-		tables[cfg.Candidates[k].Name].Rows = rows[k].rows()
-	}
-	if err != nil {
-		if isInterruption(err) {
-			// Keep the rows extracted so far: the caller may still
-			// inspect or persist the partial tables.
-			return &KeyGenResult{Tables: tables, Duration: time.Since(start)}, err
-		}
-		return nil, err
-	}
-
-	return &KeyGenResult{Tables: tables, Duration: time.Since(start)}, nil
-}
-
-// rowChunks accumulates one table's rows during key generation. Rows
-// sit in chunks that never move, so an open instance is updated in
-// place through a stable pointer, and the table receives its rows in
-// one exact-size copy at the end instead of a row slice regrown (and
-// every row re-copied) as it fills.
-type rowChunks struct {
-	chunks [][]GKRow
-	n      int
-}
-
-// add stores row and returns a pointer to the stored copy, valid until
-// rows is called.
-func (rc *rowChunks) add(row GKRow) *GKRow {
-	if len(rc.chunks) == 0 || len(rc.chunks[len(rc.chunks)-1]) == cap(rc.chunks[len(rc.chunks)-1]) {
-		rc.chunks = append(rc.chunks, make([]GKRow, 0, min(max(rc.n, 64), 4096)))
-	}
-	last := &rc.chunks[len(rc.chunks)-1]
-	*last = append(*last, row)
-	rc.n++
-	return &(*last)[len(*last)-1]
-}
-
-// rows returns the accumulated rows in insertion order (nil if none).
-func (rc *rowChunks) rows() []GKRow {
-	if rc.n == 0 {
-		return nil
-	}
-	out := make([]GKRow, 0, rc.n)
-	for _, c := range rc.chunks {
-		out = append(out, c...)
-	}
-	return out
+	return b.result(start, walk(doc.Root))
 }
 
 // newGKTables returns an empty GK table per candidate, keyed by
@@ -304,75 +208,4 @@ func finishKeyGenSpan(sp *obs.Span, ob *obs.Observer, kg *KeyGenResult, err erro
 		m.GKRows.Store(int64(rows))
 		m.SampleHeap()
 	}
-}
-
-// buildRow extracts keys and OD values for one candidate instance.
-func buildRow(n *xmltree.Node, c *config.Candidate) (GKRow, error) {
-	row := GKRow{EID: n.ID}
-
-	// Raw value per referenced path, extracted once and shared between
-	// key generation and the OD (the paper's "save an extra pass").
-	// values is aligned with c.Paths; a candidate has a handful of
-	// paths, so a linear scan by ID beats a per-row map.
-	var buf [8][]string
-	values := buf[:0]
-	for i := range c.Paths {
-		values = append(values, c.Paths[i].Path().SelectValues(n))
-	}
-	valuesOf := func(pid int) []string {
-		for i := range c.Paths {
-			if c.Paths[i].ID == pid {
-				return values[i]
-			}
-		}
-		return nil
-	}
-	first := func(pid int) string {
-		if v := valuesOf(pid); len(v) > 0 {
-			return v[0]
-		}
-		return ""
-	}
-
-	keys := c.CompiledKeys()
-	row.Keys = make([]string, len(keys))
-	for i, k := range keys {
-		row.Keys[i] = k.Generate(first)
-	}
-
-	row.OD = make([][]string, len(c.OD))
-	for i, od := range c.OD {
-		row.OD[i] = valuesOf(od.PathID)
-	}
-	return row, nil
-}
-
-// plainPathTrie maps every plain candidate path to its candidate's
-// index in cfg.Candidates; when two candidates share a path the later
-// one wins. Both key generators match candidate instances with it.
-func plainPathTrie(cfg *config.Config) *xmltree.PathTrie {
-	t := xmltree.NewPathTrie()
-	for i := range cfg.Candidates {
-		if p := cfg.Candidates[i].XPath; isPlainPath(p) {
-			t.Insert(p, i)
-		}
-	}
-	return t
-}
-
-// isPlainPath reports whether an xpath string is a simple slash-joined
-// element-name path (no predicates, wildcards, or descendant axis), so
-// instance matching can follow the open-element path in a PathTrie.
-func isPlainPath(p string) bool {
-	for i := 0; i < len(p); i++ {
-		switch p[i] {
-		case '[', ']', '*', '@', '(':
-			return false
-		case '/':
-			if i+1 < len(p) && p[i+1] == '/' {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -12,10 +12,8 @@ import (
 	"repro/internal/xmltree"
 )
 
-// sortRowsByEID returns the table's rows ordered by element ID; the
-// streaming generator appends rows at close time (postorder) while the
-// DOM generator appends at visit time (preorder), so tables are
-// compared as sets keyed by EID.
+// sortRowsByEID returns the table's rows ordered by element ID, so
+// tables are compared as sets keyed by EID.
 func sortRowsByEID(t *GKTable) []GKRow {
 	rows := make([]GKRow, len(t.Rows))
 	copy(rows, t.Rows)
@@ -125,11 +123,25 @@ func TestStreamDetectionEndToEnd(t *testing.T) {
 	}
 }
 
-func TestStreamRejectsNonPlainPaths(t *testing.T) {
-	cfg := &config.Config{Candidates: []config.Candidate{leafCand("p", "//person")}}
-	mustValidate(t, cfg)
-	if _, err := GenerateKeysStream(strings.NewReader("<r/>"), cfg); err == nil {
-		t.Fatal("descendant-axis candidate must be rejected")
+// TestStreamAcceptsEveryPath streams configurations whose candidate
+// paths use //, * and predicates, which the stream once rejected, and
+// requires the DOM generator's tables.
+func TestStreamAcceptsEveryPath(t *testing.T) {
+	doc := mustDoc(t, sharedActorsXML)
+	for _, xp := range []string{"//person", "*/*/movie/people/*", "//movie[2]/people/person", "//people/person[1]"} {
+		cfg := mustValidate(t, &config.Config{Candidates: []config.Candidate{leafCand("p", xp)}})
+		dom, err := GenerateKeys(doc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := GenerateKeysStream(strings.NewReader(sharedActorsXML), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", xp, err)
+		}
+		if len(dom.Tables["p"].Rows) == 0 {
+			t.Fatalf("%s: no rows", xp)
+		}
+		assertTablesEqual(t, dom, stream, cfg)
 	}
 }
 

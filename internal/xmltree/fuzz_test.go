@@ -1,8 +1,11 @@
 package xmltree
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -132,6 +135,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkCanonical(t, doc, input)
 		out := doc.String()
 		doc2, err := ParseString(out)
 		if err != nil {
@@ -142,6 +146,30 @@ func FuzzParse(f *testing.F) {
 				doc.Stats().Elements, doc2.Stats().Elements)
 		}
 	})
+}
+
+// checkCanonical requires the scanner's canonical token output for
+// input to equal the serialization of doc, the tree input parses into.
+func checkCanonical(t *testing.T, doc *Document, input string) {
+	t.Helper()
+	var want, got bytes.Buffer
+	if err := doc.Write(&want, WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	sc := newScanner(iotest.HalfReader(strings.NewReader(input)), runlimit.Limits{}, 7)
+	w := bufio.NewWriter(&got)
+	sc.Canonical(w)
+	for {
+		if _, err := sc.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("canonical scan: %v", err)
+		}
+	}
+	w.Flush()
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("canonical tokens differ from the tree's serialization:\n got  %q\n want %q", got.Bytes(), want.Bytes())
+	}
 }
 
 // TestScannerRefillsMatchOracle parses a document far larger than the
@@ -163,6 +191,7 @@ func TestScannerRefillsMatchOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkCanonical(t, want, in)
 	got, err := build(newScanner(iotest.HalfReader(strings.NewReader(in)), runlimit.Limits{}, 1))
 	if err != nil {
 		t.Fatal(err)

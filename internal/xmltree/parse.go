@@ -31,7 +31,7 @@ func ParseWithLimits(r io.Reader, lim runlimit.Limits) (*Document, error) {
 }
 
 func build(s *Scanner) (*Document, error) {
-	var b Builder
+	var b builder
 	var root *Node
 	for {
 		kind, err := s.Next()
@@ -56,7 +56,7 @@ func build(s *Scanner) (*Document, error) {
 	return &Document{Root: root}, nil
 }
 
-// Builder appends Scanner tokens to a node tree. Elements take their
+// builder appends Scanner tokens to a node tree. Elements take their
 // IDs from the scanner, and text the scanner marks as merged extends
 // the preceding text node (collected in one buffer, so a text node
 // split into many pieces costs linear time).
@@ -65,13 +65,9 @@ func build(s *Scanner) (*Document, error) {
 // slabs, so building a tree costs a few allocations per hundred nodes
 // rather than several per node. Every list is capped at its carved
 // capacity: appending past it (AppendChild, SetAttr) reallocates as
-// usual, so lists never overlap. Slabs belong to one tree: a Start
-// with no current element begins a tree on fresh slabs, so a finished
-// tree (streaming key generation builds one per candidate instance)
-// never keeps later trees' slabs alive or is kept alive by them. Slabs
-// grow from slabMin to slabMax within a tree, so a small tree
-// allocates little.
-type Builder struct {
+// usual, so lists never overlap. Slabs grow from slabMin to slabMax,
+// so a small tree allocates little.
+type builder struct {
 	cur      *Node
 	text     *Node  // the current element's trailing text node
 	textBuf  []byte // pending merged content of text
@@ -86,7 +82,7 @@ const (
 	slabMax = 256
 )
 
-func (b *Builder) node() *Node {
+func (b *builder) node() *Node {
 	if len(b.nodes) == 0 {
 		b.nodes = make([]Node, b.slab)
 		b.slab = min(2*b.slab, slabMax)
@@ -98,7 +94,7 @@ func (b *Builder) node() *Node {
 
 // appendChild appends c to the current element's children, moving a
 // full child list to a slab region of twice its capacity.
-func (b *Builder) appendChild(c *Node) {
+func (b *builder) appendChild(c *Node) {
 	c.Parent = b.cur
 	kids := b.cur.Children
 	if len(kids) == cap(kids) {
@@ -119,7 +115,7 @@ func (b *Builder) appendChild(c *Node) {
 }
 
 // flush settles merged text into its node.
-func (b *Builder) flush() {
+func (b *builder) flush() {
 	if b.textBuf != nil {
 		b.text.Data = string(b.textBuf)
 		b.textBuf = nil
@@ -129,7 +125,7 @@ func (b *Builder) flush() {
 
 // Start creates the element of the scanner's start token, appends it
 // to the current element (if any) and makes it current.
-func (b *Builder) Start(s *Scanner) *Node {
+func (b *builder) Start(s *Scanner) *Node {
 	b.flush()
 	if b.cur == nil {
 		b.nodes, b.children, b.attrs, b.slab = nil, nil, nil, slabMin
@@ -155,7 +151,7 @@ func (b *Builder) Start(s *Scanner) *Node {
 
 // End closes the current element and returns it; its parent becomes
 // current.
-func (b *Builder) End() *Node {
+func (b *builder) End() *Node {
 	b.flush()
 	e := b.cur
 	b.cur = e.Parent
@@ -163,7 +159,7 @@ func (b *Builder) End() *Node {
 }
 
 // Text appends the scanner's text token to the current element.
-func (b *Builder) Text(s *Scanner) {
+func (b *builder) Text(s *Scanner) {
 	if s.Merge() && b.text != nil {
 		if b.textBuf == nil {
 			b.textBuf = append([]byte(nil), b.text.Data...)

@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -105,6 +106,12 @@ type Scanner struct {
 	rawAttrs   []rawAttr
 	scratch    []byte
 	pendingEnd bool
+
+	// canon receives the canonical serialization of the yielded tokens
+	// (see Canonical); canonOpen means the last start tag written is
+	// still missing its ">" or "/>".
+	canon     *bufio.Writer
+	canonOpen bool
 }
 
 // qname is an interned element or attribute name: the raw qualified
@@ -189,6 +196,9 @@ func (s *Scanner) Next() (TokenKind, error) {
 	if s.pendingEnd {
 		s.pendingEnd = false
 		s.closeElement()
+		if s.canon != nil {
+			s.writeCanonical(EndToken)
+		}
 		return EndToken, nil
 	}
 	for {
@@ -211,6 +221,9 @@ func (s *Scanner) Next() (TokenKind, error) {
 			return 0, s.fail(err)
 		}
 		if kind != 0 {
+			if s.canon != nil {
+				s.writeCanonical(kind)
+			}
 			return kind, nil
 		}
 	}

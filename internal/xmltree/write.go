@@ -196,3 +196,85 @@ func EscapeAttr(w *bufio.Writer, s string) error {
 	}
 	return nil
 }
+
+// Canonical makes the scanner write to w, token by token, the bytes
+// Document.Write with zero WriteOptions writes for the tree the tokens
+// build, so a document can be hashed in the pass that reads it instead
+// of after building it. The caller flushes w once the scan is over.
+func (s *Scanner) Canonical(w *bufio.Writer) { s.canon = w }
+
+// writeCanonical writes one yielded token as writeNode does without
+// indentation. A start tag stays open until the next token says
+// whether the element has children ("/>" if not). Text and attribute
+// values are escaped byte by byte, which for the valid UTF-8 the
+// scanner yields is what the serializer's rune loop writes.
+func (s *Scanner) writeCanonical(kind TokenKind) {
+	w := s.canon
+	switch kind {
+	case StartToken:
+		if s.canonOpen {
+			w.WriteByte('>')
+		}
+		w.WriteByte('<')
+		w.WriteString(s.name.local)
+		for _, a := range s.attrs {
+			w.WriteByte(' ')
+			w.WriteString(a.Name)
+			w.WriteString(`="`)
+			escapeBytes(w, a.Value, true)
+			w.WriteByte('"')
+		}
+		s.canonOpen = true
+	case TextToken:
+		if s.canonOpen {
+			w.WriteByte('>')
+			s.canonOpen = false
+		}
+		escapeBytes(w, s.text, false)
+	case EndToken:
+		if s.canonOpen {
+			w.WriteString("/>")
+			s.canonOpen = false
+			return
+		}
+		w.WriteString("</")
+		w.WriteString(s.name.local)
+		w.WriteByte('>')
+	}
+}
+
+// escapeBytes writes b with escapeText's replacements, or EscapeAttr's
+// when attr is set.
+func escapeBytes(w *bufio.Writer, b []byte, attr bool) {
+	last := 0
+	for i, c := range b {
+		var rep string
+		switch c {
+		case '&':
+			rep = "&amp;"
+		case '<':
+			rep = "&lt;"
+		case '>':
+			rep = "&gt;"
+		case '"':
+			if attr {
+				rep = "&quot;"
+			}
+		case '\n':
+			if attr {
+				rep = "&#10;"
+			}
+		case '\t':
+			if attr {
+				rep = "&#9;"
+			}
+		}
+		if rep == "" {
+			continue
+		}
+		w.Write(b[last:i])
+		w.WriteString(rep)
+		last = i + 1
+	}
+	w.Write(b[last:])
+}

@@ -3,8 +3,7 @@
 // attributes, document-order identifiers, parsing and serialization.
 //
 // Parsing runs on the package's own byte-level Scanner, which both the
-// DOM parser and the streaming key generator consume; PathTrie is the
-// matcher both key generators use to recognize candidate elements.
+// DOM parser and the streaming key generator consume.
 //
 // The model is deliberately small — namespaces are flattened to local
 // names, comments and processing instructions are dropped — because the

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/dataset"
+	"repro/internal/xmltree"
 )
 
 func largeConfig(t *testing.T) *Config {
@@ -155,5 +156,58 @@ func TestParseXMLWithLimits(t *testing.T) {
 	doc, err := ParseXMLWithLimits(strings.NewReader("<a><b/></a>"), Limits{MaxDepth: 2})
 	if err != nil || doc == nil {
 		t.Fatalf("within limits should parse: %v", err)
+	}
+}
+
+// TestHostileInputsReader drives the hostile documents of
+// internal/core's TestHostileInputs through the default reader path,
+// RunReader, which builds rows from tokens without a document: each
+// must end in an error, a typed *LimitError where a limit applies.
+func TestHostileInputsReader(t *testing.T) {
+	const open = "<movie_database><movies><movie><title>"
+	const closeDoc = "</title></movie></movies></movie_database>"
+	laughs := `<?xml version="1.0"?><!DOCTYPE lolz [<!ENTITY lol "lol">` +
+		`<!ENTITY lol1 "&lol;&lol;&lol;&lol;&lol;&lol;&lol;&lol;&lol;&lol;">]>`
+	cases := []struct {
+		name, in string
+		lim      Limits
+		limit    string // the LimitError expected, "" for a syntax error
+	}{
+		{"depth past MaxDepth", open + strings.Repeat("<d>", 100) + strings.Repeat("</d>", 100) + closeDoc,
+			Limits{MaxDepth: 50}, "max-depth"},
+		{"nodes past MaxNodes", "<movie_database><movies>" + strings.Repeat("<movie><title>t</title></movie>", 1000) + "</movies></movie_database>",
+			Limits{MaxNodes: 500}, "max-nodes"},
+		{"unterminated text node", open + strings.Repeat("x", 1<<20), Limits{}, ""},
+		{"undeclared entity", laughs + open + "&lol1;" + closeDoc, Limits{}, ""},
+		{"invalid UTF-8", open + "caf\xc3\x28" + closeDoc, Limits{}, ""},
+		{"NUL byte", open + "a\x00b" + closeDoc, Limits{}, ""},
+		{"non-XML-Char reference", open + "a&#xFFFF;b" + closeDoc, Limits{}, ""},
+		{"non-UTF-8 encoding", `<?xml version="1.0" encoding="ISO-8859-1"?>` + open + "x" + closeDoc, Limits{}, ""},
+		{"unterminated comment", open + "x<!-- no end", Limits{}, ""},
+		{"unterminated CDATA", open + "<![CDATA[no end", Limits{}, ""},
+		{"mismatched tags", "<movie_database><movies><movie><title>x</movie></title></movies></movie_database>", Limits{}, ""},
+		{"trailing content", open + "x" + closeDoc + "junk", Limits{}, ""},
+		{"second root", open + "x" + closeDoc + "<movie_database/>", Limits{}, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			det, err := NewWithOptions(config.DataSet1(5), Options{Limits: c.lim})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = det.RunReader(strings.NewReader(c.in))
+			if err == nil {
+				t.Fatal("hostile input accepted")
+			}
+			var le *LimitError
+			isLimit := errors.As(err, &le)
+			if c.limit != "" && (!isLimit || le.Limit != c.limit) {
+				t.Fatalf("want a %s LimitError, got %v", c.limit, err)
+			}
+			var se *xmltree.SyntaxError
+			if c.limit == "" && !errors.As(err, &se) {
+				t.Fatalf("want a *xmltree.SyntaxError, got %v", err)
+			}
+		})
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -206,34 +207,62 @@ func (d *Detector) RunContext(ctx context.Context, doc *Document) (*Result, erro
 	return core.RunContext(ctx, doc, d.cfg, d.opts)
 }
 
-// RunReader parses XML from r and runs detection.
+// RunReader runs SXNM over the XML document read from r in one pass:
+// GK rows are built straight from the tokens (memory bounded by the GK
+// tables, not the document), then detection runs over them. The result
+// carries no document, so document-dependent helpers (Deduplicate,
+// Fuse, WriteClustersCSV) need Run over a parsed document instead;
+// cluster sets and statistics are those of Run.
 func (d *Detector) RunReader(r io.Reader) (*Result, error) {
 	return d.RunReaderContext(context.Background(), r)
 }
 
-// RunReaderContext is RunReader under a context; the Detector's
-// MaxDepth/MaxNodes limits are enforced while parsing.
+// RunReaderContext is RunReader under a context and the Detector's
+// Limits. MaxDepth/MaxNodes are enforced on the fly during the token
+// scan; an interrupted run returns the partial Result with
+// Result.Incomplete set alongside the typed cause. Every error is
+// prefixed "sxnm:".
 func (d *Detector) RunReaderContext(ctx context.Context, r io.Reader) (*Result, error) {
-	doc, err := d.parseObserved(r)
+	res, _, err := d.runTokens(ctx, r, false)
 	if err != nil {
-		return nil, fmt.Errorf("sxnm: %w", err)
+		err = fmt.Errorf("sxnm: %w", err)
 	}
-	return d.RunContext(ctx, doc)
+	return res, err
 }
 
-// parseObserved parses under the Detector's limits with the parse
-// phase traced when an observer is attached.
-func (d *Detector) parseObserved(r io.Reader) (*Document, error) {
-	sp := d.opts.Observer.StartSpan(obs.SpanParse)
-	doc, err := xmltree.ParseWithLimits(r, d.opts.Limits)
+// runTokens is the reader path: one scan of r feeds the row builder
+// and, when fingerprint is set, DocumentFingerprint's hash. The scan is
+// traced as the parse phase, and key generation within it.
+func (d *Detector) runTokens(ctx context.Context, r io.Reader, fingerprint bool) (*Result, string, error) {
+	ctx, stop := runlimit.WithTimeout(ctx, d.opts.Limits)
+	defer stop()
+	sc := xmltree.NewScanner(r, d.opts.Limits)
+	var fp *checkpoint.TokenFingerprint
+	if fingerprint {
+		fp = checkpoint.FingerprintTokens(sc)
+	}
+	sp := d.opts.Observer.StartSpan(obs.SpanParse, obs.Bool(obs.AttrStream, true))
+	kg, err := core.GenerateKeysScan(ctx, sc, d.cfg, d.opts.KeyGenLimits(), d.opts.Observer)
 	if err != nil {
 		sp.SetAttr(obs.Bool(obs.AttrInterrupted, true), obs.String(obs.AttrCause, err.Error()))
 	}
 	sp.End()
-	return doc, err
+	if err != nil {
+		if runlimit.IsInterruption(err) {
+			return core.PartialFromKeyGen(kg, err), "", err
+		}
+		return nil, "", err
+	}
+	var sum string
+	if fp != nil {
+		sum = fp.Sum()
+	}
+	res, err := core.DetectContext(ctx, kg, d.cfg, d.opts)
+	return res, sum, err
 }
 
-// RunFile parses the file at path and runs detection.
+// RunFile runs SXNM over the XML document stored at path, as RunReader
+// does.
 func (d *Detector) RunFile(path string) (*Result, error) {
 	return d.RunFileContext(context.Background(), path)
 }
@@ -242,69 +271,51 @@ func (d *Detector) RunFile(path string) (*Result, error) {
 // "sxnm:" and names the file; interrupted runs still return their
 // partial Result.
 func (d *Detector) RunFileContext(ctx context.Context, path string) (*Result, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("sxnm: %w", err)
-	}
-	defer f.Close()
-	doc, err := d.parseObserved(f)
-	if err != nil {
-		return nil, fmt.Errorf("sxnm: %s: %w", path, err)
-	}
-	res, err := d.RunContext(ctx, doc)
-	if err != nil {
-		return res, fmt.Errorf("sxnm: %s: %w", path, err)
-	}
-	return res, nil
+	res, _, err := d.runFile(ctx, path, false)
+	return res, err
 }
 
-// RunStream executes SXNM over XML read from r without materializing
-// the whole document: key generation is streaming (memory bounded by
-// the largest candidate subtree), then detection runs over the GK
-// tables as usual. Requires plain candidate paths (no //, *, or
-// predicates). The result carries no document, so document-dependent
-// helpers (Deduplicate, Fuse, WriteClustersCSV) do not apply; cluster
-// sets and statistics are complete.
+// RunFileFingerprint is RunFileContext that also returns the input's
+// DocumentFingerprint, hashed from the tokens of the same scan (for
+// run reports; it costs one SHA-256 over the document's canonical
+// serialization). The fingerprint is empty when the scan did not reach
+// the end of the input.
+func (d *Detector) RunFileFingerprint(ctx context.Context, path string) (*Result, string, error) {
+	return d.runFile(ctx, path, true)
+}
+
+func (d *Detector) runFile(ctx context.Context, path string, fingerprint bool) (*Result, string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, "", fmt.Errorf("sxnm: %w", err)
+	}
+	defer f.Close()
+	res, sum, err := d.runTokens(ctx, f, fingerprint)
+	if err != nil {
+		return res, sum, fmt.Errorf("sxnm: %s: %w", path, err)
+	}
+	return res, sum, nil
+}
+
+// RunStream is RunReader; the name stays for callers that ask for the
+// streaming path explicitly.
 func (d *Detector) RunStream(r io.Reader) (*Result, error) {
-	return d.RunStreamContext(context.Background(), r)
+	return d.RunReaderContext(context.Background(), r)
 }
 
-// RunStreamContext is RunStream under a context and the Detector's
-// Limits. MaxDepth/MaxNodes are enforced on the fly during the token
-// scan; an interrupted run returns the partial Result with
-// Result.Incomplete set alongside the typed cause.
+// RunStreamContext is RunReaderContext.
 func (d *Detector) RunStreamContext(ctx context.Context, r io.Reader) (*Result, error) {
-	ctx, stop := runlimit.WithTimeout(ctx, d.opts.Limits)
-	defer stop()
-	kg, err := core.GenerateKeysStreamObserved(ctx, r, d.cfg, d.opts.KeyGenLimits(), d.opts.Observer)
-	if err != nil {
-		if runlimit.IsInterruption(err) {
-			return core.PartialFromKeyGen(kg, err), err
-		}
-		return nil, err
-	}
-	return core.DetectContext(ctx, kg, d.cfg, d.opts)
+	return d.RunReaderContext(ctx, r)
 }
 
-// RunStreamFile is RunStream over the file at path.
+// RunStreamFile is RunFile.
 func (d *Detector) RunStreamFile(path string) (*Result, error) {
-	return d.RunStreamFileContext(context.Background(), path)
+	return d.RunFileContext(context.Background(), path)
 }
 
-// RunStreamFileContext is RunStreamFile under a context. Every error
-// is prefixed "sxnm:" and names the file; interrupted runs still
-// return their partial Result.
+// RunStreamFileContext is RunFileContext.
 func (d *Detector) RunStreamFileContext(ctx context.Context, path string) (*Result, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("sxnm: %w", err)
-	}
-	defer f.Close()
-	res, err := d.RunStreamContext(ctx, f)
-	if err != nil {
-		return res, fmt.Errorf("sxnm: %s: %w", path, err)
-	}
-	return res, nil
+	return d.RunFileContext(ctx, path)
 }
 
 // WriteGK runs only the key generation phase over the document and
