@@ -81,15 +81,31 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "sxnm:", err)
-		if errors.Is(err, sxnm.ErrCanceled) ||
-			errors.Is(err, sxnm.ErrDeadlineExceeded) ||
-			errors.Is(err, sxnm.ErrLimitExceeded) {
-			os.Exit(3)
-		}
-		os.Exit(1)
+	os.Exit(reportErr(os.Stderr, run(os.Args[1:])))
+}
+
+// reportErr prints a failed run's error line to w and returns the exit
+// status: 0 on success, 3 for an interrupted run, 1 otherwise.
+func reportErr(w io.Writer, err error) int {
+	if err == nil {
+		return 0
 	}
+	fmt.Fprintln(w, errorLine(err))
+	if errors.Is(err, sxnm.ErrCanceled) ||
+		errors.Is(err, sxnm.ErrDeadlineExceeded) ||
+		errors.Is(err, sxnm.ErrLimitExceeded) {
+		return 3
+	}
+	return 1
+}
+
+// errorLine renders err with the "sxnm:" prefix exactly once: errors
+// from the sxnm facade already carry it.
+func errorLine(err error) string {
+	if msg := err.Error(); strings.HasPrefix(msg, "sxnm: ") {
+		return msg
+	}
+	return "sxnm: " + err.Error()
 }
 
 func run(args []string) error {
@@ -227,7 +243,7 @@ func run(args []string) error {
 		if runErr == nil {
 			return oerr
 		}
-		fmt.Fprintln(os.Stderr, "sxnm:", oerr)
+		fmt.Fprintln(os.Stderr, errorLine(oerr))
 	}
 	if runErr != nil {
 		if res == nil || res.Incomplete == nil {
@@ -272,9 +288,9 @@ func run(args []string) error {
 	}
 	if *stats {
 		fmt.Printf("key generation:     %v\n", res.Stats.KeyGen)
-		fmt.Printf("sliding window:     %v (CPU, summed over workers)\n", res.Stats.SlidingWindow)
-		fmt.Printf("transitive closure: %v (CPU, summed over workers)\n", res.Stats.TransitiveClosure)
-		fmt.Printf("duplicate detection (SW+TC, CPU): %v\n", res.Stats.DuplicateDetection())
+		fmt.Printf("sliding window:     %v (elapsed, summed over candidates)\n", res.Stats.SlidingWindow)
+		fmt.Printf("transitive closure: %v (elapsed, summed over candidates)\n", res.Stats.TransitiveClosure)
+		fmt.Printf("duplicate detection (SW+TC, elapsed): %v\n", res.Stats.DuplicateDetection())
 		fmt.Printf("duplicate detection (wall clock): %v\n", res.Stats.DetectionWall)
 		fmt.Printf("comparisons: %d, duplicate pairs: %d\n",
 			res.Stats.Comparisons, res.Stats.DuplicatePairs)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -80,6 +81,31 @@ func TestRunBadFiles(t *testing.T) {
 	badCfg := write(t, dir, "bad.xml", "<sxnm-config/>")
 	if err := run([]string{"-config", badCfg, "-input", data}); err == nil {
 		t.Error("invalid config should fail")
+	}
+}
+
+// A failed run prints its error with the "sxnm:" prefix exactly once,
+// whether the facade (which prefixes its own errors) or the CLI raised
+// it, and exits 1.
+func TestRunErrorPrefixedOnce(t *testing.T) {
+	dir := t.TempDir()
+	cfg := write(t, dir, "cfg.xml", testConfig)
+	truncated := write(t, dir, "truncated.xml", testData[:len(testData)/2])
+	absent := filepath.Join(dir, "absent.xml")
+	for name, args := range map[string][]string{
+		"missing input":   {"-config", cfg, "-input", absent},
+		"truncated input": {"-config", cfg, "-input", truncated},
+		"missing config":  {"-config", absent, "-input", truncated},
+		"missing flags":   {"-config", cfg},
+	} {
+		var stderr bytes.Buffer
+		if code := reportErr(&stderr, run(args)); code != 1 {
+			t.Errorf("%s: exit status %d, want 1", name, code)
+		}
+		line := stderr.String()
+		if !strings.HasPrefix(line, "sxnm: ") || strings.Count(line, "sxnm:") != 1 {
+			t.Errorf("%s: stderr %q, want one \"sxnm:\" prefix", name, line)
+		}
 	}
 }
 

@@ -119,24 +119,6 @@ func TestFilterOptionThroughFacade(t *testing.T) {
 	}
 }
 
-func TestParallelOptionThroughFacade(t *testing.T) {
-	cfg, err := LoadConfig(strings.NewReader(demoConfig))
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := NewWithOptions(cfg, Options{Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := det.RunReader(strings.NewReader(demoXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Clusters["movie"].NonSingletons()) != 1 {
-		t.Error("parallel run changed detection outcome")
-	}
-}
-
 func TestCompileRuleFacade(t *testing.T) {
 	cfg, err := LoadConfig(strings.NewReader(ruleConfigXML))
 	if err != nil {
@@ -163,11 +145,15 @@ func TestRunStreamFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamRes, err := det.RunStream(strings.NewReader(demoXML))
+	streamRes, err := det.RunReader(strings.NewReader(demoXML))
 	if err != nil {
 		t.Fatal(err)
 	}
-	domRes, err := det.RunReader(strings.NewReader(demoXML))
+	doc, err := ParseXMLString(demoXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domRes, err := det.Run(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +162,7 @@ func TestRunStreamFacade(t *testing.T) {
 			t.Errorf("%s: streaming clusters differ", name)
 		}
 	}
-	if _, err := det.RunStreamFile("/nonexistent.xml"); err == nil {
+	if _, err := det.RunFile("/nonexistent.xml"); err == nil {
 		t.Error("absent file should fail")
 	}
 }

@@ -110,14 +110,14 @@ func TestDeduplicateIdempotent(t *testing.T) {
 	}
 }
 
-// The filter and parallel options never change detection outcomes.
+// The filter and pair-worker options never change detection outcomes.
 func TestOptionEquivalenceOnRealData(t *testing.T) {
 	doc := dirtyMovies(t, 300, 37)
 	base := runDS1(t, doc, 8, Options{})
 	for name, opts := range map[string]Options{
-		"filter":   {UseFilter: true},
-		"parallel": {Parallel: true},
-		"both":     {UseFilter: true, Parallel: true},
+		"filter":  {UseFilter: true},
+		"workers": {PairWorkers: 4},
+		"both":    {UseFilter: true, PairWorkers: 4},
 	} {
 		got := runDS1(t, doc, 8, opts)
 		if got.Clusters["movie"].String() != base.Clusters["movie"].String() {

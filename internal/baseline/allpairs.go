@@ -42,31 +42,29 @@ func AllPairs(doc *xmltree.Document, cfg *config.Config, opts core.Options) (*Al
 		return nil, err
 	}
 	res := &AllPairsResult{Clusters: make(map[string]*cluster.ClusterSet, len(cfg.Candidates))}
-	for _, group := range core.DetectionOrder(kg, cfg) {
-		for _, cand := range group {
-			t := kg.Tables[cand.Name]
-			useDesc := cand.DescendantsEnabled() && !opts.DisableDescendants
-			if useDesc {
-				core.ResolveDescendantClusters(t, res.Clusters)
-			}
-			uf := cluster.NewUnionFind()
-			for i := range t.Rows {
-				uf.Add(t.Rows[i].EID)
-			}
-			for i := 0; i < len(t.Rows); i++ {
-				for j := i + 1; j < len(t.Rows); j++ {
-					res.Comparisons++
-					_, _, _, dup, err := t.ComparePair(&t.Rows[i], &t.Rows[j], useDesc)
-					if err != nil {
-						return nil, err
-					}
-					if dup {
-						uf.Union(t.Rows[i].EID, t.Rows[j].EID)
-					}
+	for _, cand := range core.DetectionOrder(kg, cfg) {
+		t := kg.Tables[cand.Name]
+		useDesc := cand.DescendantsEnabled() && !opts.DisableDescendants
+		if useDesc {
+			core.ResolveDescendantClusters(t, res.Clusters)
+		}
+		uf := cluster.NewUnionFind()
+		for i := range t.Rows {
+			uf.Add(t.Rows[i].EID)
+		}
+		for i := 0; i < len(t.Rows); i++ {
+			for j := i + 1; j < len(t.Rows); j++ {
+				res.Comparisons++
+				_, _, _, dup, err := t.ComparePair(&t.Rows[i], &t.Rows[j], useDesc)
+				if err != nil {
+					return nil, err
+				}
+				if dup {
+					uf.Union(t.Rows[i].EID, t.Rows[j].EID)
 				}
 			}
-			res.Clusters[cand.Name] = cluster.Build(uf)
 		}
+		res.Clusters[cand.Name] = cluster.Build(uf)
 	}
 	res.Duration = time.Since(start)
 	return res, nil

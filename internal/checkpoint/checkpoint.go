@@ -151,8 +151,7 @@ func (s *State) ResumeState() *core.ResumeState {
 
 // Dir is an open checkpoint directory. It implements core.Checkpointer
 // so it can be handed to the engine via Options.Checkpointer; all
-// methods are safe for concurrent use (parallel detection workers
-// flush progress concurrently).
+// methods are safe for concurrent use.
 type Dir struct {
 	fsys FS
 	path string
@@ -166,8 +165,8 @@ type Dir struct {
 // SetObserver attaches an observer: every subsequent checkpoint
 // operation emits one SpanCheckpoint span (kind, bytes written) and
 // bumps the CheckpointWrites/CheckpointBytes counters. Byte counting
-// happens here, under d.mu, so concurrent detection workers never
-// misattribute each other's writes. A nil or disabled observer turns
+// happens here, under d.mu, so concurrent callers never misattribute
+// each other's writes. A nil or disabled observer turns
 // observation off.
 func (d *Dir) SetObserver(ob *obs.Observer) {
 	if !ob.Enabled() {

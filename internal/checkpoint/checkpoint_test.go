@@ -405,26 +405,6 @@ func TestLoadRejectsCorruptBytes(t *testing.T) {
 	})
 }
 
-// TestParallelCheckpointedRun exercises the concurrent Progress /
-// CandidateDone paths under -race and confirms result identity.
-func TestParallelCheckpointedRun(t *testing.T) {
-	cfg, doc := corpusConfig(t), corpusDoc(t)
-	cfgFP, docFP := fingerprints(t, cfg, doc)
-	dir := t.TempDir()
-	d, err := Create(OSFS(), dir, cfgFP, docFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.RunContext(context.Background(), doc, cfg,
-		core.Options{Parallel: true, Checkpointer: d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := clustersString(res.Clusters); got != referenceClusters(t) {
-		t.Errorf("parallel checkpointed clusters differ:\n%s", got)
-	}
-}
-
 func TestFieldEscapeRoundTrip(t *testing.T) {
 	for _, s := range []string{"", "plain", "tab\tand\nnewline", "100%", "%09", "a%b\rc", "ünïcode"} {
 		if got := unescapeField(escapeField(s)); got != s {

@@ -420,10 +420,15 @@ func TestRuleBoth(t *testing.T) {
 }
 
 func TestDetectMissingTable(t *testing.T) {
-	cfg := mustValidate(t, movieConfig(config.RuleCombined))
-	kg := &KeyGenResult{Tables: map[string]*GKTable{}}
-	if _, err := Detect(kg, cfg, Options{}); err == nil {
-		t.Fatal("Detect without GK tables should fail")
+	for name, cfg := range map[string]*config.Config{
+		"movies": movieConfig(config.RuleCombined),
+		"cds":    cdConfig(),
+	} {
+		cfg := mustValidate(t, cfg)
+		kg := &KeyGenResult{Tables: map[string]*GKTable{}}
+		if _, err := Detect(kg, cfg, Options{}); err == nil {
+			t.Errorf("%s: Detect without GK tables should fail", name)
+		}
 	}
 }
 

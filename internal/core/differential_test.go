@@ -37,12 +37,9 @@ type runSnapshot struct {
 	doneOrder []string                     // CandidateDone sequence
 }
 
-// recordingCkpt serializes the Checkpointer callback stream. Progress
-// is grouped per candidate (under Options.Parallel candidates
-// interleave arbitrarily in real time, but each candidate's own
-// sequence is part of the determinism contract); CandidateDone order
-// is global — the engine emits it from the group merge loop, which is
-// deterministic even for parallel groups.
+// recordingCkpt serializes the Checkpointer callback stream: Progress
+// grouped per candidate, and the global CandidateDone order in which
+// the engine's candidate loop finished the candidates.
 type recordingCkpt struct {
 	mu      sync.Mutex
 	perCand map[string][]string
@@ -120,8 +117,8 @@ func snapshotRunStats(t *testing.T, kg *KeyGenResult, cfg *config.Config, opts O
 	opts.PairObserver = po.observe
 	res, err := Detect(kg, cfg, opts)
 	if err != nil {
-		t.Fatalf("Detect(workers=%d cache=%v parallel=%v): %v",
-			opts.PairWorkers, opts.SimCache, opts.Parallel, err)
+		t.Fatalf("Detect(workers=%d cache=%v): %v",
+			opts.PairWorkers, opts.SimCache, err)
 	}
 	snap := runSnapshot{
 		clusters:  make(map[string]string, len(res.Clusters)),
@@ -200,8 +197,8 @@ func differentialScenarios(t *testing.T) []differentialScenario {
 }
 
 // TestDifferentialMatrix is the equivalence proof: PairWorkers ∈
-// {0,1,4,16} × SimCache ∈ {off,on} (plus candidate-level Parallel
-// composed on top) all reproduce the sequential uncached run
+// {0,1,4,16} × SimCache ∈ {off,on} (plus a tiny cache that evicts
+// mid-run) all reproduce the sequential uncached run
 // observable-for-observable.
 func TestDifferentialMatrix(t *testing.T) {
 	for _, sc := range differentialScenarios(t) {
@@ -223,14 +220,13 @@ func TestDifferentialMatrix(t *testing.T) {
 					diffSnapshots(t, label, baseline, snapshotRun(t, kg, sc.cfg, opts))
 				}
 			}
-			// Candidate-level parallelism composed with both features,
-			// plus a deliberately tiny cache to force evictions mid-run.
+			// Pair workers with a deliberately tiny cache, forcing
+			// evictions mid-run.
 			opts := sc.base
-			opts.Parallel = true
 			opts.PairWorkers = 4
 			opts.SimCache = true
 			opts.SimCacheSize = 64
-			diffSnapshots(t, "parallel+workers=4+tiny-cache", baseline, snapshotRun(t, kg, sc.cfg, opts))
+			diffSnapshots(t, "workers=4+tiny-cache", baseline, snapshotRun(t, kg, sc.cfg, opts))
 		})
 	}
 }
@@ -239,8 +235,7 @@ func TestDifferentialMatrix(t *testing.T) {
 // MaxComparisons budget trips at a deterministic enumeration point, so
 // the partial result — completed clusters, Incomplete bookkeeping, and
 // the best-effort checkpoint flush — must also be identical across the
-// matrix. (Candidate-level Parallel is excluded: with concurrent
-// candidates the budget is consumed in racy order by design.)
+// matrix.
 func TestDifferentialInterrupted(t *testing.T) {
 	doc, _, err := dataset.DataSet1(dataset.Movies1Options{Movies: 120, Seed: 7})
 	if err != nil {

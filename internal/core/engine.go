@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -48,16 +47,12 @@ type Options struct {
 	// in the OD-only runs of Experiment set 3. Per-candidate
 	// UseDescendants still applies when this is false.
 	DisableDescendants bool
-	// DecisionRule, when non-nil, replaces the built-in threshold
-	// rules — the "equational theory" hook the paper's relational SNM
-	// uses and SXNM is "ready for" (Sec. 5). It receives the candidate
-	// and the two similarities and decides duplicate-ness.
-	DecisionRule func(c *config.Candidate, odSim, descSim float64, hasDesc bool) bool
-	// FieldRule, when non-nil, replaces the built-in rules with a
-	// per-field equational theory: it receives the per-OD-field
-	// similarities (similarity.FieldAbsent marks fields missing on
-	// both sides) instead of the aggregate. Takes precedence over
-	// DecisionRule.
+	// FieldRule, when non-nil, replaces the built-in threshold rules
+	// with a per-field equational theory — the hook the paper's
+	// relational SNM uses and SXNM is "ready for" (Sec. 5). It receives
+	// the per-OD-field similarities (similarity.FieldAbsent marks fields
+	// missing on both sides) and the descendant similarity, and decides
+	// duplicate-ness.
 	FieldRule func(c *config.Candidate, fieldSims []float64, descSim float64, hasDesc bool) bool
 	// UseFilter enables the threshold-aware comparison fast path of
 	// Sec. 5 (see fastpath.go): precomputed per-row sketches, a
@@ -67,26 +62,17 @@ type Options struct {
 	// verdicts, clusters, Stats, and checkpoint streams are
 	// byte-identical to the unfiltered run; skipped pairs count in
 	// Stats.FilteredOut and report a deterministic upper bound as
-	// their ODSim. Disabled automatically when a custom DecisionRule
-	// or FieldRule is set (the bounds only understand the built-in
-	// rules).
+	// their ODSim. Disabled automatically when a FieldRule is set (the
+	// bounds only understand the built-in rules).
 	UseFilter bool
-	// Parallel runs candidates of the same nesting depth concurrently;
-	// bottom-up dependencies only point to strictly deeper candidates,
-	// so same-depth candidates never read each other's cluster sets.
-	// Results are identical to sequential runs. Phase durations then
-	// overlap in wall-clock terms, so keep this off for Fig. 5 style
-	// measurements. A panic inside a worker is recovered into a
-	// *PanicError naming the candidate and cancels its siblings.
-	// Orthogonal to PairWorkers, which parallelizes inside one
-	// candidate's key passes; the two compose.
-	Parallel bool
-	// PairWorkers parallelizes the window sweep inside each key pass:
-	// the pair stream is batched and compared on this many goroutines,
-	// with verdicts merged back in window order. Every observable —
-	// clusters, Stats, spans, checkpoints, PairObserver calls — is
-	// byte-identical to the sequential run (the differential suite in
-	// internal/core proves it). 0 (the zero value) runs the plain
+	// PairWorkers parallelizes the window sweep inside each key pass,
+	// the only parallelism in detection (candidates run one after
+	// another in bottom-up order): the pair stream is batched and
+	// compared on this many goroutines, with verdicts merged back in
+	// window order. Every observable — clusters, Stats, spans,
+	// checkpoints, PairObserver calls — is byte-identical to the
+	// sequential run (the differential suite in internal/core proves
+	// it). 0 (the zero value) runs the plain
 	// sequential loop; 1 runs the batching machinery on one worker;
 	// negative means one worker per available CPU (the plain loop when
 	// only one CPU is available).
@@ -180,37 +166,27 @@ type CandidateStats struct {
 // Experiment set 2: key generation (KG), sliding window (SW),
 // transitive closure (TC), and duplicate detection (DD = SW + TC).
 //
-// SlidingWindow and TransitiveClosure are sums of per-candidate
-// durations. Under Options.Parallel candidates overlap in wall-clock
-// time, so these sums measure CPU time spent, not elapsed time — they
-// can exceed the run's wall clock. DetectionWall is the wall-clock
-// duration of the whole detection phase and is the number to quote
-// for "how long did it take"; the CPU sums are the numbers to quote
-// for "how much work was done".
+// SlidingWindow and TransitiveClosure sum the per-candidate elapsed
+// times of those phases. Candidates run one after another, so the sums
+// are elapsed time, not CPU time: PairWorkers goroutines add CPU inside
+// a pass without adding to them. DetectionWall is the elapsed time of
+// the whole detection phase, so it also counts the work outside the
+// two phases, such as the candidate order and CandidateDone writes.
 type Stats struct {
 	KeyGen            time.Duration
-	SlidingWindow     time.Duration // CPU-summed across candidates/workers
-	TransitiveClosure time.Duration // CPU-summed across candidates/workers
-	DetectionWall     time.Duration // wall clock of the detection phase
+	SlidingWindow     time.Duration // elapsed, summed over candidates
+	TransitiveClosure time.Duration // elapsed, summed over candidates
+	DetectionWall     time.Duration // elapsed time of the detection phase
 	Comparisons       int
 	FilteredOut       int
 	DuplicatePairs    int
 	Candidates        map[string]*CandidateStats
 }
 
-// DuplicateDetection returns SW + TC, the paper's DD measure. This is
-// the CPU-summed variant: under Options.Parallel the per-candidate
-// phases overlap and the sum exceeds elapsed time. Use
-// DuplicateDetectionWall for the elapsed-time view.
+// DuplicateDetection returns SW + TC, the paper's DD measure: the
+// elapsed time of the two phases, summed over candidates.
 func (s *Stats) DuplicateDetection() time.Duration {
 	return s.SlidingWindow + s.TransitiveClosure
-}
-
-// DuplicateDetectionWall returns the wall-clock duration of the
-// detection phase (sequential runs: ≈ DuplicateDetection plus
-// scheduling overhead; parallel runs: the real elapsed time).
-func (s *Stats) DuplicateDetectionWall() time.Duration {
-	return s.DetectionWall
 }
 
 // Result is the outcome of a full SXNM run: one cluster set per
@@ -282,13 +258,6 @@ func Detect(kg *KeyGenResult, cfg *config.Config, opts Options) (*Result, error)
 func DetectContext(ctx context.Context, kg *KeyGenResult, cfg *config.Config, opts Options) (*Result, error) {
 	ctx, stop := runlimit.WithTimeout(ctx, opts.Limits)
 	defer stop()
-	// Parallel workers share a cancelable context so a panic in one
-	// worker stops its siblings promptly.
-	cancelSiblings := context.CancelFunc(func() {})
-	if opts.Parallel {
-		ctx, cancelSiblings = context.WithCancel(ctx)
-	}
-	defer cancelSiblings()
 	bud := newBudget(ctx, opts.Limits)
 
 	// Normalize the observer once: a disabled observer is treated like
@@ -371,152 +340,86 @@ func DetectContext(ctx context.Context, kg *KeyGenResult, cfg *config.Config, op
 			obs.Int64(obs.AttrResumedPairs, seeded))
 	}
 
-	var completed []string
-	for _, group := range DetectionOrder(kg, cfg) {
-		type outcome struct {
-			name    string
-			ran     bool
-			resumed bool
-			cs      *cluster.ClusterSet
-			cstats  *CandidateStats
-			err     error
+	// detectOne runs one candidate inside its span, or adopts the
+	// cluster set a resumed run already completed (resumed is then
+	// true). A panic is recovered into a *PanicError naming the
+	// candidate; a PairWorkers panic is re-raised on this goroutine by
+	// the sweeper, so it lands here too.
+	detectOne := func(cand *config.Candidate) (cs *cluster.ClusterSet, cstats *CandidateStats, resumed bool, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = &PanicError{Candidate: cand.Name, Value: r, Stack: debug.Stack()}
+			}
+		}()
+		t := kg.Tables[cand.Name]
+		if t == nil {
+			return nil, nil, false, fmt.Errorf("core: no GK table for candidate %q", cand.Name)
 		}
-		outcomes := make([]outcome, len(group))
-		runOne := func(i int) {
-			cand := group[i]
-			defer func() {
-				if r := recover(); r != nil {
-					outcomes[i] = outcome{name: cand.Name, ran: true, err: &PanicError{
-						Candidate: cand.Name, Value: r, Stack: debug.Stack(),
-					}}
-					cancelSiblings()
-				}
-			}()
-			t := kg.Tables[cand.Name]
-			if t == nil {
-				outcomes[i] = outcome{name: cand.Name, ran: true,
-					err: fmt.Errorf("core: no GK table for candidate %q", cand.Name)}
-				return
-			}
-			if cs, ok := resumedClusters[cand.Name]; ok {
-				// Completed by the checkpointed run being resumed: adopt
-				// the cluster set without re-detecting. Comparison stats
-				// stay zero — that work happened in the earlier process.
-				outcomes[i] = outcome{name: cand.Name, ran: true, resumed: true, cs: cs,
-					cstats: &CandidateStats{
-						Rows:         len(t.Rows),
-						Clusters:     cs.Len(),
-						NonSingleton: len(cs.NonSingletons()),
-					}}
-				if sp := detSpan.Child(obs.SpanCandidate,
-					obs.String(obs.AttrCandidate, cand.Name),
-					obs.Int(obs.AttrRows, len(t.Rows)),
-					obs.Bool(obs.AttrResumed, true),
-					obs.Int(obs.AttrClusters, cs.Len()),
-					obs.Int(obs.AttrNonSingleton, len(cs.NonSingletons())),
-				); sp != nil {
-					sp.End()
-				}
-				return
-			}
-			candSpan := detSpan.Child(obs.SpanCandidate,
+		if cs, ok := resumedClusters[cand.Name]; ok {
+			// Completed by the checkpointed run being resumed: adopt the
+			// cluster set without re-detecting. Comparison stats stay
+			// zero — that work happened in the earlier process.
+			if sp := detSpan.Child(obs.SpanCandidate,
 				obs.String(obs.AttrCandidate, cand.Name),
 				obs.Int(obs.AttrRows, len(t.Rows)),
-				obs.Int(obs.AttrWindow, cand.Window),
-				obs.Int(obs.AttrKeys, len(cand.CompiledKeys())))
-			if prog := resumedProgress[cand.Name]; prog != nil {
-				candSpan.SetAttr(obs.Int(obs.AttrNextPass, prog.NextPass))
+				obs.Bool(obs.AttrResumed, true),
+				obs.Int(obs.AttrClusters, cs.Len()),
+				obs.Int(obs.AttrNonSingleton, len(cs.NonSingletons())),
+			); sp != nil {
+				sp.End()
 			}
-			cs, cstats, err := detectCandidate(bud, t, res.Clusters, resumedProgress[cand.Name], opts, candSpan)
-			if cstats != nil {
-				candSpan.SetAttr(
-					obs.Int(obs.AttrWindowPairs, cstats.WindowPairs),
-					obs.Int(obs.AttrComparisons, cstats.Comparisons),
-					obs.Int(obs.AttrFilteredOut, cstats.FilteredOut),
-					obs.Int(obs.AttrDuplicatePairs, cstats.DuplicatePairs),
-					obs.Int(obs.AttrClusters, cstats.Clusters),
-					obs.Int(obs.AttrNonSingleton, cstats.NonSingleton),
-					obs.Int64(obs.AttrSWNanos, int64(cstats.SlidingWindow)),
-					obs.Int64(obs.AttrTCNanos, int64(cstats.TransitiveClosure)))
-			}
-			if err != nil && isInterruption(err) {
-				candSpan.SetAttr(obs.Bool(obs.AttrInterrupted, true))
-			}
-			candSpan.End()
-			outcomes[i] = outcome{name: cand.Name, ran: true, cs: cs, cstats: cstats, err: err}
+			return cs, &CandidateStats{
+				Rows:         len(t.Rows),
+				Clusters:     cs.Len(),
+				NonSingleton: len(cs.NonSingletons()),
+			}, true, nil
 		}
-		if opts.Parallel && len(group) > 1 {
-			var wg sync.WaitGroup
-			for i := range group {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					runOne(i)
-				}(i)
-			}
-			wg.Wait()
-		} else {
-			for i := range group {
-				runOne(i)
-				// Sequentially there is no point starting the next
-				// candidate once this one was cut short or failed.
-				if outcomes[i].err != nil {
-					break
-				}
-			}
+		candSpan := detSpan.Child(obs.SpanCandidate,
+			obs.String(obs.AttrCandidate, cand.Name),
+			obs.Int(obs.AttrRows, len(t.Rows)),
+			obs.Int(obs.AttrWindow, cand.Window),
+			obs.Int(obs.AttrKeys, len(cand.CompiledKeys())))
+		if prog := resumedProgress[cand.Name]; prog != nil {
+			candSpan.SetAttr(obs.Int(obs.AttrNextPass, prog.NextPass))
 		}
+		cs, cstats, err = detectCandidate(bud, t, res.Clusters, resumedProgress[cand.Name], opts, candSpan)
+		if cstats != nil {
+			candSpan.SetAttr(
+				obs.Int(obs.AttrWindowPairs, cstats.WindowPairs),
+				obs.Int(obs.AttrComparisons, cstats.Comparisons),
+				obs.Int(obs.AttrFilteredOut, cstats.FilteredOut),
+				obs.Int(obs.AttrDuplicatePairs, cstats.DuplicatePairs),
+				obs.Int(obs.AttrClusters, cstats.Clusters),
+				obs.Int(obs.AttrNonSingleton, cstats.NonSingleton),
+				obs.Int64(obs.AttrSWNanos, int64(cstats.SlidingWindow)),
+				obs.Int64(obs.AttrTCNanos, int64(cstats.TransitiveClosure)))
+		}
+		if err != nil && isInterruption(err) {
+			candSpan.SetAttr(obs.Bool(obs.AttrInterrupted, true))
+		}
+		candSpan.End()
+		return cs, cstats, false, err
+	}
 
-		// Classify the group's outcomes: panics and hard errors abort
-		// the run; interruptions keep the completed work.
-		var intr *interruptError
-		var interrupted []string
-		for _, o := range outcomes {
-			if !o.ran || o.err == nil {
-				continue
+	// Each candidate runs, is accounted and is checkpointed in turn.
+	// Panics and hard errors abort the run; an interruption keeps the
+	// candidates completed before it.
+	var completed []string
+	for _, cand := range DetectionOrder(kg, cfg) {
+		cs, cstats, resumed, err := detectOne(cand)
+		if err != nil {
+			if !isInterruption(err) {
+				return nil, err
 			}
-			var pe *PanicError
-			if errors.As(o.err, &pe) {
-				return nil, o.err
+			var intr *interruptError
+			if !errors.As(err, &intr) {
+				intr = &interruptError{cause: err, phase: PhaseSlidingWindow, pass: -1}
 			}
-			if !isInterruption(o.err) {
-				return nil, o.err
-			}
-			var ie *interruptError
-			if !errors.As(o.err, &ie) {
-				ie = &interruptError{cause: o.err, phase: PhaseSlidingWindow, pass: -1}
-			}
-			if intr == nil {
-				intr = ie
-			}
-			interrupted = append(interrupted, o.name)
-		}
-		for _, o := range outcomes {
-			if !o.ran || o.err != nil {
-				continue
-			}
-			res.Clusters[o.name] = o.cs
-			res.Stats.Candidates[o.name] = o.cstats
-			res.Stats.SlidingWindow += o.cstats.SlidingWindow
-			res.Stats.TransitiveClosure += o.cstats.TransitiveClosure
-			res.Stats.Comparisons += o.cstats.Comparisons
-			res.Stats.FilteredOut += o.cstats.FilteredOut
-			res.Stats.DuplicatePairs += o.cstats.DuplicatePairs
-			completed = append(completed, o.name)
-			if m != nil {
-				m.CandidatesDone.Add(1)
-			}
-			if opts.Checkpointer != nil && !o.resumed {
-				if cerr := opts.Checkpointer.CandidateDone(o.name, o.cs); cerr != nil {
-					return nil, fmt.Errorf("core: checkpoint candidate %q: %w", o.name, cerr)
-				}
-			}
-		}
-		if intr != nil {
 			res.Incomplete = &Incomplete{
 				Cause:       intr.cause,
 				Phase:       intr.phase,
 				Completed:   completed,
-				Interrupted: interrupted,
+				Interrupted: []string{cand.Name},
 				KeyPass:     intr.pass,
 			}
 			if ob != nil {
@@ -525,6 +428,22 @@ func DetectContext(ctx context.Context, kg *KeyGenResult, cfg *config.Config, op
 					obs.String(obs.AttrCause, intr.cause.Error()))
 			}
 			return res, intr.cause
+		}
+		res.Clusters[cand.Name] = cs
+		res.Stats.Candidates[cand.Name] = cstats
+		res.Stats.SlidingWindow += cstats.SlidingWindow
+		res.Stats.TransitiveClosure += cstats.TransitiveClosure
+		res.Stats.Comparisons += cstats.Comparisons
+		res.Stats.FilteredOut += cstats.FilteredOut
+		res.Stats.DuplicatePairs += cstats.DuplicatePairs
+		completed = append(completed, cand.Name)
+		if m != nil {
+			m.CandidatesDone.Add(1)
+		}
+		if opts.Checkpointer != nil && !resumed {
+			if cerr := opts.Checkpointer.CandidateDone(cand.Name, cs); cerr != nil {
+				return nil, fmt.Errorf("core: checkpoint candidate %q: %w", cand.Name, cerr)
+			}
 		}
 	}
 	return res, nil
@@ -573,8 +492,8 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 	// resolution then happens per decoded row instead of across the
 	// resident table (same function, same results).
 	// The threshold-aware fast path only serves the built-in decision
-	// rules; custom rules consume exact similarities, never bounds.
-	fastFilter := opts.UseFilter && opts.DecisionRule == nil && opts.FieldRule == nil
+	// rules; a FieldRule consumes exact similarities, never bounds.
+	fastFilter := opts.UseFilter && opts.FieldRule == nil
 
 	var spiller *candSpiller
 	if st := opts.spill; st != nil && len(t.Rows) > st.threshold {
@@ -1107,7 +1026,7 @@ func comparePair(t *GKTable, a, b *GKRow, useDesc bool, opts Options, cache *sim
 		dup = opts.FieldRule(t.Candidate, fieldSims, descSim, hasDesc)
 		return odSim, descSim, hasDesc, dup, false, nil
 	}
-	if opts.UseFilter && opts.DecisionRule == nil {
+	if opts.UseFilter {
 		// Threshold-aware fast path (fastpath.go): sketch bounds,
 		// banded edit distance, and early termination of the weighted
 		// sum, with escalation to exact values whenever the bounds
@@ -1122,11 +1041,7 @@ func comparePair(t *GKTable, a, b *GKRow, useDesc bool, opts Options, cache *sim
 	if err != nil {
 		return 0, 0, false, false, false, fmt.Errorf("core: candidate %q: %w", t.Candidate.Name, err)
 	}
-	if opts.DecisionRule != nil {
-		dup = opts.DecisionRule(t.Candidate, odSim, descSim, hasDesc)
-	} else {
-		dup = decide(t.Candidate, odSim, descSim, hasDesc)
-	}
+	dup = decide(t.Candidate, odSim, descSim, hasDesc)
 	return odSim, descSim, hasDesc, dup, false, nil
 }
 

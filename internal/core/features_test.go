@@ -76,9 +76,11 @@ func TestFilterDisabledUnderCustomRule(t *testing.T) {
 	var calls atomic.Int64
 	res, err := Run(doc, cfg, Options{
 		UseFilter: true,
-		DecisionRule: func(_ *config.Candidate, od, _ float64, _ bool) bool {
+		// Each candidate has one OD field, so this is the Def. 2
+		// aggregate thresholded at 0.8.
+		FieldRule: func(_ *config.Candidate, fieldSims []float64, _ float64, _ bool) bool {
 			calls.Add(1)
-			return od >= 0.8
+			return fieldSims[0] >= 0.8
 		},
 	})
 	if err != nil {

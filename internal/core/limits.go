@@ -54,8 +54,9 @@ type Incomplete struct {
 	KeyPass int
 }
 
-// PanicError reports a panic recovered inside a detection worker
-// (Options.Parallel). The run's sibling workers are canceled and the
+// PanicError reports a panic recovered while detecting one candidate,
+// including a panic on a PairWorkers goroutine, which the sweep
+// re-raises on the detection loop's goroutine. The run stops and the
 // panic surfaces as an ordinary error instead of crashing the caller.
 type PanicError struct {
 	Candidate string

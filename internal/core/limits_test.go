@@ -292,11 +292,14 @@ func TestStreamDepthAndNodeLimits(t *testing.T) {
 	}
 }
 
-func TestParallelPanicContainment(t *testing.T) {
+// A panic inside a candidate's detection is recovered into a
+// *PanicError naming the candidate, carrying the stack and the panic
+// value, and aborts the run without a partial result. The rule panics
+// only for artist, so the candidates before it complete normally.
+func TestSequentialPanicContainment(t *testing.T) {
 	doc := freedb.Generate(freedb.DefaultOptions(100, 5))
 	cfg := mustValidate(t, cdConfig())
 	opts := Options{
-		Parallel: true,
 		FieldRule: func(c *config.Candidate, fieldSims []float64, descSim float64, hasDesc bool) bool {
 			if c.Name == "artist" {
 				panic("injected rule failure")
@@ -321,7 +324,7 @@ func TestParallelPanicContainment(t *testing.T) {
 		t.Errorf("panic attributed to %q, want artist", pe.Candidate)
 	}
 	if len(pe.Stack) == 0 || !strings.Contains(string(pe.Stack), "goroutine") {
-		t.Error("panic error should carry the worker stack")
+		t.Error("panic error should carry the stack")
 	}
 	if !strings.Contains(err.Error(), "artist") || !strings.Contains(err.Error(), "injected rule failure") {
 		t.Errorf("error message should name candidate and panic value: %v", err)
@@ -329,50 +332,6 @@ func TestParallelPanicContainment(t *testing.T) {
 	if res != nil {
 		t.Error("panic aborts the run without a partial result")
 	}
-}
-
-func TestSequentialPanicContainment(t *testing.T) {
-	doc := freedb.Generate(freedb.DefaultOptions(50, 3))
-	cfg := mustValidate(t, cdConfig())
-	_, err := Run(doc, cfg, Options{
-		FieldRule: func(c *config.Candidate, _ []float64, _ float64, _ bool) bool {
-			panic("sequential boom")
-		},
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want *PanicError, got %v", err)
-	}
-}
-
-// A canceled parallel run must not lose the completed leaf candidates
-// and must pass the race detector (go test -race covers this).
-func TestParallelCancellation(t *testing.T) {
-	doc := freedb.Generate(freedb.DefaultOptions(200, 5))
-	full, err := Run(doc, mustValidate(t, cdConfig()), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var seen int
-	opts := Options{
-		Parallel: true,
-		Limits:   Limits{CheckEvery: 1},
-		PairObserver: func(p PairObservation) {
-			if p.Candidate == "disc" {
-				seen++
-				if seen == 2 {
-					cancel()
-				}
-			}
-		},
-	}
-	part, err := RunContext(ctx, doc, mustValidate(t, cdConfig()), opts)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
-	}
-	interruptedMatchesUninterrupted(t, full, part)
 }
 
 func TestDeterminismUnderCancelableContext(t *testing.T) {

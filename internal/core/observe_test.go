@@ -114,11 +114,6 @@ func TestObserverReportMatchesStats(t *testing.T) {
 	if rep.DetectWallMS <= 0 || rep.KeyGenMS <= 0 {
 		t.Errorf("phase wall times = %v / %v", rep.KeyGenMS, rep.DetectWallMS)
 	}
-}
-
-func TestObserverParallelMatchesStats(t *testing.T) {
-	rep, res, _ := runObserved(t, Options{Parallel: true})
-	checkReportMatchesStats(t, rep, res)
 	if res.Stats.DetectionWall <= 0 {
 		t.Error("detection wall clock not measured")
 	}
@@ -131,7 +126,7 @@ func TestObserverMetricsMatchStats(t *testing.T) {
 	ob := obs.New(ring)
 	cfg := mustValidate(t, cdConfig())
 	doc := freedb.Generate(freedb.DefaultOptions(60, 4))
-	res, err := Run(doc, cfg, Options{Observer: ob, UseFilter: true, Parallel: true})
+	res, err := Run(doc, cfg, Options{Observer: ob, UseFilter: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,13 +35,14 @@ func ProcessingOrder(cfg *config.Config) []*config.Candidate {
 	return cands
 }
 
-// DetectionOrder partitions the candidates into bottom-up processing
-// groups using the nesting actually observed during key generation:
-// a candidate is ready once every candidate type occurring among its
+// DetectionOrder returns the candidates in bottom-up processing order
+// using the nesting actually observed during key generation: a
+// candidate is ready once every candidate type occurring among its
 // instances' descendants has been processed. This handles candidates
 // addressed with the descendant axis, whose static path depth says
-// nothing about where their instances sit. Candidates within a group
-// are mutually independent and may run concurrently.
+// nothing about where their instances sit. The order is built in
+// rounds: each round takes every candidate ready at its start, sorted
+// by configured path depth descending and then by name.
 //
 // Self-nesting (a candidate type occurring inside itself) is ignored —
 // like the paper, SXNM does not feed a candidate's own clusters into
@@ -49,7 +50,7 @@ func ProcessingOrder(cfg *config.Config) []*config.Candidate {
 // types, the cycle is broken at the candidate with the shallowest
 // configured path, which degrades that candidate to OD-only signals
 // for the cycle edge rather than failing.
-func DetectionOrder(kg *KeyGenResult, cfg *config.Config) [][]*config.Candidate {
+func DetectionOrder(kg *KeyGenResult, cfg *config.Config) []*config.Candidate {
 	children := make(map[string]map[string]bool, len(cfg.Candidates))
 	for name, t := range kg.Tables {
 		for i := range t.Rows {
@@ -70,7 +71,7 @@ func DetectionOrder(kg *KeyGenResult, cfg *config.Config) [][]*config.Candidate 
 		remaining[cfg.Candidates[i].Name] = &cfg.Candidates[i]
 	}
 	done := make(map[string]bool, len(remaining))
-	var groups [][]*config.Candidate
+	order := make([]*config.Candidate, 0, len(remaining))
 	for len(remaining) > 0 {
 		var ready []*config.Candidate
 		for name, c := range remaining {
@@ -108,9 +109,9 @@ func DetectionOrder(kg *KeyGenResult, cfg *config.Config) [][]*config.Candidate 
 			done[c.Name] = true
 			delete(remaining, c.Name)
 		}
-		groups = append(groups, ready)
+		order = append(order, ready...)
 	}
-	return groups
+	return order
 }
 
 func depthOf(c *config.Candidate) int {

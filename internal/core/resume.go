@@ -26,9 +26,9 @@ import "repro/internal/cluster"
 // the typed interruption cause must win and the checkpoint merely
 // stays one step staler.
 //
-// Under Options.Parallel the Progress and CandidateDone methods may
-// be called from concurrent workers and must be safe for concurrent
-// use. internal/checkpoint.Dir implements this interface.
+// The engine calls every method from the goroutine running the
+// detection loop, one candidate after another. internal/checkpoint.Dir
+// implements this interface.
 type Checkpointer interface {
 	KeysGenerated(kg *KeyGenResult) error
 	Progress(candidate string, nextPass int, pairs []cluster.Pair) error

@@ -288,8 +288,8 @@ type spillManifest struct {
 
 // spillState is the run-level spill context shared by all candidates:
 // the directory (a private temp dir unless Options.SpillDir pins one),
-// the filesystem, the manifest, and the obs counters. Parallel
-// candidates share it, so the manifest is mutex-guarded.
+// the filesystem, the manifest, and the obs counters. The manifest is
+// mutex-guarded, so the state is safe to share across goroutines.
 type spillState struct {
 	threshold int
 	fs        extsort.FS

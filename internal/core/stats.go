@@ -33,7 +33,9 @@ func (c *CandidateStats) MarshalJSON() ([]byte, error) {
 }
 
 // String renders the run-wide measurements as one log-friendly line:
-// phase timings (CPU-summed and wall), then counters.
+// phase timings, then counters. The sw/tc/dd values are elapsed times
+// summed over candidates (see Stats); their "_cpu" suffixes, like the
+// JSON keys below, keep the established output format.
 func (s *Stats) String() string {
 	return fmt.Sprintf("kg=%v sw_cpu=%v tc_cpu=%v dd_cpu=%v detect_wall=%v comparisons=%d filtered_out=%d duplicate_pairs=%d candidates=%d",
 		s.KeyGen, s.SlidingWindow, s.TransitiveClosure, s.DuplicateDetection(),
@@ -41,6 +43,8 @@ func (s *Stats) String() string {
 }
 
 // MarshalJSON emits the aggregate stats with stable snake_case keys.
+// The "*_cpu" keys hold the summed per-candidate elapsed times; the
+// names are kept so the format does not move.
 // Durations carry the same dual ns/string representation as
 // CandidateStats; the per-candidate map is keyed by candidate name
 // (encoding/json sorts map keys, so output is deterministic).

@@ -145,9 +145,11 @@ type Report struct {
 	Input             string    `json:"input,omitempty"`
 	Label             string    `json:"label,omitempty"`
 
-	ParseMS                float64 `json:"parse_ms,omitempty"`
-	KeyGenMS               float64 `json:"key_gen_ms"`
-	DetectWallMS           float64 `json:"detect_wall_ms"`
+	ParseMS      float64 `json:"parse_ms,omitempty"`
+	KeyGenMS     float64 `json:"key_gen_ms"`
+	DetectWallMS float64 `json:"detect_wall_ms"`
+	// The two "_cpu" sums are the candidates' elapsed phase times added
+	// up, as in core.Stats; the names keep the report format stable.
 	SlidingWindowCPUMS     float64 `json:"sliding_window_cpu_ms"`
 	TransitiveClosureCPUMS float64 `json:"transitive_closure_cpu_ms"`
 

@@ -94,7 +94,7 @@ type Config struct {
 	RetryMaxDelay  time.Duration
 
 	// Engine carries the base run options applied to every job
-	// (Parallel, PairWorkers, SimCache, SpillThresholdRows, ...).
+	// (PairWorkers, SimCache, UseFilter, SpillThresholdRows, ...).
 	// Observer, SpillDir, and SimCacheFor are per-job and overwritten.
 	Engine sxnm.Options
 

@@ -121,7 +121,7 @@ func TestRunStreamContextPartialResult(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // interrupt immediately: keygen never gets past token one
-	res, err := det.RunStreamContext(ctx, strings.NewReader(xmlText))
+	res, err := det.RunReaderContext(ctx, strings.NewReader(xmlText))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}

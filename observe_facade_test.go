@@ -105,7 +105,7 @@ func TestFacadeStreamRunTraced(t *testing.T) {
 	if err := doc.Write(&xml, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.RunStream(bytes.NewReader(xml.Bytes())); err != nil {
+	if _, err := det.RunReader(bytes.NewReader(xml.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	var kgStreamed bool

@@ -89,8 +89,9 @@ type (
 	// LimitError names the breached limit and the observed value; it
 	// matches ErrLimitExceeded via errors.Is.
 	LimitError = core.LimitError
-	// PanicError reports a panic recovered inside a Parallel detection
-	// worker, carrying the candidate name and stack.
+	// PanicError reports a panic recovered while detecting a candidate
+	// (PairWorkers goroutines included), carrying the candidate name
+	// and stack.
 	PanicError = core.PanicError
 )
 
@@ -295,27 +296,6 @@ func (d *Detector) runFile(ctx context.Context, path string, fingerprint bool) (
 		return res, sum, fmt.Errorf("sxnm: %s: %w", path, err)
 	}
 	return res, sum, nil
-}
-
-// RunStream is RunReader; the name stays for callers that ask for the
-// streaming path explicitly.
-func (d *Detector) RunStream(r io.Reader) (*Result, error) {
-	return d.RunReaderContext(context.Background(), r)
-}
-
-// RunStreamContext is RunReaderContext.
-func (d *Detector) RunStreamContext(ctx context.Context, r io.Reader) (*Result, error) {
-	return d.RunReaderContext(ctx, r)
-}
-
-// RunStreamFile is RunFile.
-func (d *Detector) RunStreamFile(path string) (*Result, error) {
-	return d.RunFileContext(context.Background(), path)
-}
-
-// RunStreamFileContext is RunFileContext.
-func (d *Detector) RunStreamFileContext(ctx context.Context, path string) (*Result, error) {
-	return d.RunFileContext(ctx, path)
 }
 
 // WriteGK runs only the key generation phase over the document and
