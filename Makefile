@@ -4,6 +4,7 @@
 # short fuzz pass over every parser in the tree.
 
 GO       ?= go
+GOFMT    ?= gofmt
 FUZZTIME ?= 10s
 BENCHN   ?= 1000
 
@@ -13,9 +14,11 @@ check: vet build test smallspill bench-overhead fuzz-short
 
 # perfbench/ is its own module, frozen between benchmark changes:
 # vetting it fails any change that removes a symbol it compiles against.
+# Any file gofmt would rewrite fails the gate too.
 vet:
 	$(GO) vet ./...
 	$(GO) -C perfbench vet ./...
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

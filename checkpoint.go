@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -47,118 +48,93 @@ var (
 	ErrCheckpointCorrupt = checkpoint.ErrCorrupt
 )
 
-// RunCheckpointed is Run with durable progress in the directory dir:
-// after key generation and after each candidate completes, the state
-// is persisted crash-safely, so an interrupted or crashed run invoked
-// again with the same config, document, and directory resumes instead
-// of restarting. When dir already holds a valid matching checkpoint,
-// the run continues from it; when it holds nothing, or a corrupt
-// remnant of a crash, a fresh run starts; when it holds a checkpoint
-// of a *different* config or document, the run refuses with
-// ErrCheckpointMismatch rather than silently mixing state.
-func (d *Detector) RunCheckpointed(doc *Document, dir string) (*Result, error) {
-	return d.RunCheckpointedContext(context.Background(), doc, dir)
+// RunCheckpointed is RunReader with durable progress in the directory
+// dir: one scan of r builds the GK rows and fingerprints the document,
+// then the checkpoint bound to that fingerprint is loaded or created,
+// and after each candidate completes (and each key pass of a candidate
+// in flight) the state is persisted crash-safely. An interrupted or
+// crashed run invoked again with the same config, document, and
+// directory resumes instead of restarting; key generation reruns from
+// the tokens, detection does not. When dir already holds a valid
+// matching checkpoint, the run continues from it; when it holds
+// nothing, or a corrupt remnant of a crash, a fresh run starts; when it
+// holds a checkpoint of a *different* config or document (or of an
+// older format version), the run refuses with ErrCheckpointMismatch
+// rather than silently mixing state.
+func (d *Detector) RunCheckpointed(r io.Reader, dir string) (*Result, error) {
+	return d.RunCheckpointedContext(context.Background(), r, dir)
 }
 
 // RunCheckpointedContext is RunCheckpointed under a context and the
 // Detector's Limits. An interrupted run (cancellation, deadline,
 // limit breach) flushes its progress to dir before returning the
 // partial Result and the typed cause, so a later identical call picks
-// up where it stopped.
-func (d *Detector) RunCheckpointedContext(ctx context.Context, doc *Document, dir string) (*Result, error) {
-	return d.RunCheckpointedFSContext(ctx, doc, checkpoint.OSFS(), dir)
+// up where it stopped. A scan cut short never reaches the checkpoint:
+// dir is left as it was. Every error is prefixed "sxnm:".
+func (d *Detector) RunCheckpointedContext(ctx context.Context, r io.Reader, dir string) (*Result, error) {
+	return d.RunCheckpointedFSContext(ctx, r, checkpoint.OSFS(), dir)
 }
 
 // RunCheckpointedFSContext is RunCheckpointedContext with checkpoint
 // I/O routed through fsys instead of the real filesystem — the seam
 // fault-injection harnesses (and the daemon's kill-the-run-at-every-
 // step tests) use to fail or truncate individual checkpoint writes.
-func (d *Detector) RunCheckpointedFSContext(ctx context.Context, doc *Document, fsys CheckpointFS, dir string) (*Result, error) {
-	cfgFP, docFP, err := d.fingerprints(doc)
-	if err != nil {
-		return nil, err
-	}
-	cp, st, err := checkpoint.Load(fsys, dir, d.cfg, cfgFP, docFP)
-	switch {
-	case err == nil:
-		return d.continueFrom(ctx, doc, cp, st)
-	case errors.Is(err, ErrNoCheckpoint), errors.Is(err, ErrCheckpointCorrupt):
-		cp, err = checkpoint.Create(fsys, dir, cfgFP, docFP)
-		if err != nil {
-			return nil, fmt.Errorf("sxnm: %w", err)
+func (d *Detector) RunCheckpointedFSContext(ctx context.Context, r io.Reader, fsys CheckpointFS, dir string) (*Result, error) {
+	return d.runCheckpointed(ctx, r, func(cfgFP, docFP string) (*checkpoint.Dir, *checkpoint.State, error) {
+		cp, st, err := checkpoint.Load(fsys, dir, d.cfg, cfgFP, docFP)
+		if errors.Is(err, ErrNoCheckpoint) || errors.Is(err, ErrCheckpointCorrupt) {
+			cp, err = checkpoint.Create(fsys, dir, cfgFP, docFP)
 		}
-		return d.finishRun(cp)(core.RunContext(ctx, doc, d.cfg, d.checkpointedOpts(cp, nil)))
-	default:
-		return nil, fmt.Errorf("sxnm: %w", err)
-	}
+		return cp, st, err
+	})
 }
 
-// Resume continues the run checkpointed in dir, strictly: unlike
-// RunCheckpointed it never starts over, failing with ErrNoCheckpoint,
-// ErrCheckpointMismatch, or ErrCheckpointCorrupt when dir holds
-// nothing resumable for this config and document.
-func (d *Detector) Resume(doc *Document, dir string) (*Result, error) {
-	return d.ResumeContext(context.Background(), doc, dir)
+// Resume continues the run checkpointed in dir over the document read
+// from r, strictly: unlike RunCheckpointed it never starts over,
+// failing with ErrNoCheckpoint, ErrCheckpointMismatch, or
+// ErrCheckpointCorrupt when dir holds nothing resumable for this
+// config and document.
+func (d *Detector) Resume(r io.Reader, dir string) (*Result, error) {
+	return d.ResumeContext(context.Background(), r, dir)
 }
 
 // ResumeContext is Resume under a context and the Detector's Limits.
-func (d *Detector) ResumeContext(ctx context.Context, doc *Document, dir string) (*Result, error) {
-	cfgFP, docFP, err := d.fingerprints(doc)
-	if err != nil {
-		return nil, err
-	}
-	cp, st, err := checkpoint.Load(checkpoint.OSFS(), dir, d.cfg, cfgFP, docFP)
+func (d *Detector) ResumeContext(ctx context.Context, r io.Reader, dir string) (*Result, error) {
+	return d.runCheckpointed(ctx, r, func(cfgFP, docFP string) (*checkpoint.Dir, *checkpoint.State, error) {
+		return checkpoint.Load(checkpoint.OSFS(), dir, d.cfg, cfgFP, docFP)
+	})
+}
+
+// runCheckpointed is the reader path bound to a checkpoint: after the
+// scan, open loads or creates the checkpoint for the config and token
+// fingerprints (a nil State starts detection fresh), detection runs
+// with its hooks attached, and an uninterrupted run marks it done.
+// Interruptions pass through with their partial Result, leaving the
+// checkpoint resumable.
+func (d *Detector) runCheckpointed(ctx context.Context, r io.Reader, open func(cfgFP, docFP string) (*checkpoint.Dir, *checkpoint.State, error)) (*Result, error) {
+	cfgFP, err := checkpoint.ConfigFingerprint(d.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("sxnm: %w", err)
 	}
-	return d.continueFrom(ctx, doc, cp, st)
-}
-
-// continueFrom resumes a loaded checkpoint: key generation reruns only
-// when it never completed; otherwise detection continues over the
-// recovered GK tables, completed candidates' clusters, and pass-level
-// progress.
-func (d *Detector) continueFrom(ctx context.Context, doc *Document, cp *checkpoint.Dir, st *checkpoint.State) (*Result, error) {
-	if st.KeyGen == nil {
-		return d.finishRun(cp)(core.RunContext(ctx, doc, d.cfg, d.checkpointedOpts(cp, nil)))
-	}
-	return d.finishRun(cp)(core.DetectContext(ctx, st.KeyGen, d.cfg, d.checkpointedOpts(cp, st.ResumeState())))
-}
-
-// checkpointedOpts clones the Detector's options with the checkpoint
-// hooks attached; the Detector's observer, when set, also accounts
-// checkpoint writes.
-func (d *Detector) checkpointedOpts(cp *checkpoint.Dir, rs *core.ResumeState) Options {
-	cp.SetObserver(d.opts.Observer)
-	opts := d.opts
-	opts.Checkpointer = cp
-	opts.Resume = rs
-	return opts
-}
-
-// finishRun marks the checkpoint done after an uninterrupted run;
-// interruptions pass through with their partial Result, leaving the
-// checkpoint resumable.
-func (d *Detector) finishRun(cp *checkpoint.Dir) func(*Result, error) (*Result, error) {
-	return func(res *Result, err error) (*Result, error) {
+	res, _, err := d.runTokens(ctx, r, true, func(ctx context.Context, kg *core.KeyGenResult, docFP string) (*Result, error) {
+		cp, st, err := open(cfgFP, docFP)
 		if err != nil {
-			return res, err
+			return nil, err
 		}
-		if err := cp.Finish(); err != nil {
-			return res, fmt.Errorf("sxnm: %w", err)
+		cp.SetObserver(d.opts.Observer)
+		opts := d.opts
+		opts.Checkpointer = cp
+		if st != nil {
+			opts.Resume = st.ResumeState()
 		}
-		return res, nil
-	}
-}
-
-func (d *Detector) fingerprints(doc *Document) (string, string, error) {
-	cfgFP, err := checkpoint.ConfigFingerprint(d.cfg)
+		res, err := core.DetectContext(ctx, kg, d.cfg, opts)
+		if err == nil {
+			err = cp.Finish()
+		}
+		return res, err
+	})
 	if err != nil {
-		return "", "", fmt.Errorf("sxnm: %w", err)
+		err = fmt.Errorf("sxnm: %w", err)
 	}
-	docFP, err := checkpoint.DocumentFingerprint(doc)
-	if err != nil {
-		return "", "", fmt.Errorf("sxnm: %w", err)
-	}
-	return cfgFP, docFP, nil
+	return res, err
 }

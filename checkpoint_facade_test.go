@@ -6,23 +6,41 @@ package sxnm
 // mismatched, and corrupt state.
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/dataset"
 )
 
-func checkpointCorpus(t *testing.T) (*Config, *Document) {
+// checkpointCorpus returns a nested CD configuration and the XML bytes
+// of a generated corpus for it.
+func checkpointCorpus(t *testing.T) (*Config, []byte) {
 	t.Helper()
 	cfg := config.DataSet3(5)
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return cfg, dataset.DataSet3(120, 7)
+	return cfg, []byte(dataset.DataSet3(120, 7).String())
+}
+
+// runBytes is the uncheckpointed reference run over data.
+func runBytes(t *testing.T, det *Detector, data []byte) *Result {
+	t.Helper()
+	res, err := det.RunReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func clustersEqual(t *testing.T, got, want *Result) {
@@ -38,22 +56,19 @@ func clustersEqual(t *testing.T, got, want *Result) {
 }
 
 func TestRunCheckpointedResumesInterruptedRun(t *testing.T) {
-	cfg, doc := checkpointCorpus(t)
+	cfg, data := checkpointCorpus(t)
 	ref, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := ref.Run(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := runBytes(t, ref, data)
 
 	dir := t.TempDir()
 	limited, err := NewWithOptions(cfg, Options{Limits: Limits{MaxComparisons: full.Stats.Comparisons / 3, CheckEvery: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, runErr := limited.RunCheckpointed(doc, dir)
+	part, runErr := limited.RunCheckpointed(bytes.NewReader(data), dir)
 	if !errors.Is(runErr, ErrLimitExceeded) {
 		t.Fatalf("want ErrLimitExceeded, got %v", runErr)
 	}
@@ -62,7 +77,7 @@ func TestRunCheckpointedResumesInterruptedRun(t *testing.T) {
 	}
 
 	// The same detector without limits resumes to the full result.
-	res, err := ref.RunCheckpointed(doc, dir)
+	res, err := ref.RunCheckpointed(bytes.NewReader(data), dir)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -73,7 +88,7 @@ func TestRunCheckpointedResumesInterruptedRun(t *testing.T) {
 	}
 
 	// Rerunning a finished checkpoint is free: everything resumes.
-	again, err := ref.RunCheckpointed(doc, dir)
+	again, err := ref.RunCheckpointed(bytes.NewReader(data), dir)
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
@@ -84,18 +99,18 @@ func TestRunCheckpointedResumesInterruptedRun(t *testing.T) {
 }
 
 func TestResumeIsStrict(t *testing.T) {
-	cfg, doc := checkpointCorpus(t)
+	cfg, data := checkpointCorpus(t)
 	det, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := det.Resume(doc, t.TempDir()); !errors.Is(err, ErrNoCheckpoint) {
+	if _, err := det.Resume(bytes.NewReader(data), t.TempDir()); !errors.Is(err, ErrNoCheckpoint) {
 		t.Errorf("empty dir: want ErrNoCheckpoint, got %v", err)
 	}
 
 	dir := t.TempDir()
-	if _, err := det.RunCheckpointed(doc, dir); err != nil {
+	if _, err := det.RunCheckpointed(bytes.NewReader(data), dir); err != nil {
 		t.Fatal(err)
 	}
 
@@ -105,18 +120,18 @@ func TestResumeIsStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = other.Resume(doc, dir)
+	_, err = other.Resume(bytes.NewReader(data), dir)
 	var me *CheckpointMismatchError
 	if !errors.As(err, &me) || me.Field != "config" {
 		t.Errorf("config mismatch: got %v", err)
 	}
-	if _, err := other.RunCheckpointed(doc, dir); !errors.Is(err, ErrCheckpointMismatch) {
+	if _, err := other.RunCheckpointed(bytes.NewReader(data), dir); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("RunCheckpointed must also refuse a mismatched checkpoint, got %v", err)
 	}
 
 	// A different document is a different document fingerprint.
-	otherDoc := dataset.DataSet3(120, 8)
-	if _, err := det.Resume(otherDoc, dir); !errors.Is(err, ErrCheckpointMismatch) {
+	otherDoc := dataset.DataSet3(120, 8).String()
+	if _, err := det.Resume(strings.NewReader(otherDoc), dir); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("document mismatch: got %v", err)
 	}
 
@@ -124,16 +139,103 @@ func TestResumeIsStrict(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "manifest.tsv"), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.Resume(doc, dir); !errors.Is(err, ErrCheckpointCorrupt) {
+	if _, err := det.Resume(bytes.NewReader(data), dir); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Errorf("corrupt manifest: want ErrCheckpointCorrupt, got %v", err)
 	}
-	res, err := det.RunCheckpointedContext(context.Background(), doc, dir)
+	res, err := det.RunCheckpointedContext(context.Background(), bytes.NewReader(data), dir)
 	if err != nil {
 		t.Fatalf("clean restart over corrupt checkpoint: %v", err)
 	}
-	full, err := det.Run(doc)
+	clustersEqual(t, res, runBytes(t, det, data))
+}
+
+// dirFiles reads every file of dir, by name.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clustersEqual(t, res, full)
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
+// TestRunCheckpointedRefusesVersion1 plants a format v1 checkpoint of
+// the same config and document, whose manifest named a gk section:
+// the run refuses it as a mismatch and leaves every file as it was.
+func TestRunCheckpointedRefusesVersion1(t *testing.T) {
+	cfg, data := checkpointCorpus(t)
+	det, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgFP, err := ConfigFingerprint(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := ParseXML(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	docFP, err := DocumentFingerprint(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	gk := "#gk\tdisc\trows=0\n"
+	gkSum := sha256.Sum256([]byte(gk))
+	body := "#sxnm-checkpoint\tv1\nseq\t1\nconfig\t" + cfgFP + "\ndocument\t" + docFP +
+		"\nphase\tdetection\ngk\ts00001-gk.tsv\t" + hex.EncodeToString(gkSum[:]) + "\n"
+	sum := sha256.Sum256([]byte(body))
+	if err := os.WriteFile(filepath.Join(dir, "s00001-gk.tsv"), []byte(gk), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.tsv"),
+		[]byte(body+"#checksum\t"+hex.EncodeToString(sum[:])+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+
+	_, err = det.RunCheckpointed(bytes.NewReader(data), dir)
+	var me *CheckpointMismatchError
+	if !errors.Is(err, ErrCheckpointMismatch) || !errors.As(err, &me) || me.Field != "format-version" {
+		t.Fatalf("v1 checkpoint: want a format-version ErrCheckpointMismatch, got %v", err)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("refused v1 checkpoint was modified: files %v, were %v", len(after), len(before))
+	}
+}
+
+// TestInterruptedScanLeavesNoCheckpoint cuts the scan short by a
+// timeout and by a node ceiling: the run returns the partial Result
+// and the typed cause without creating a manifest.
+func TestInterruptedScanLeavesNoCheckpoint(t *testing.T) {
+	cfg, data := checkpointCorpus(t)
+	for name, lim := range map[string]Limits{
+		"timeout":   {Timeout: time.Nanosecond, CheckEvery: 1},
+		"max-nodes": {MaxNodes: 50},
+	} {
+		det, err := NewWithOptions(cfg, Options{Limits: lim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		res, err := det.RunCheckpointed(bytes.NewReader(data), dir)
+		if !errors.Is(err, ErrDeadlineExceeded) && !errors.Is(err, ErrLimitExceeded) {
+			t.Errorf("%s: want an interruption, got %v", name, err)
+		}
+		if res == nil || res.Incomplete == nil || res.Incomplete.Phase != "key-generation" {
+			t.Errorf("%s: want a partial result cut short in key generation, got %+v", name, res)
+		}
+		if files := dirFiles(t, dir); len(files) != 0 {
+			t.Errorf("%s: interrupted scan left %d files in the checkpoint directory", name, len(files))
+		}
+	}
 }

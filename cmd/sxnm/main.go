@@ -12,9 +12,9 @@
 //
 // A run builds its GK rows straight from the input's tokens, without
 // parsing it into a tree, unless an output needs the document:
-// -output, -clusters, -clusters-csv and -checkpoint parse it first.
-// -stream refuses those outputs. -gk-out writes the run's GK
-// relations, -gk-in runs detection over saved ones.
+// -output, -clusters and -clusters-csv parse it first. -stream refuses
+// those three outputs. -gk-out writes the run's GK relations, -gk-in
+// runs detection over saved ones.
 //
 // Operational limits: -timeout bounds the wall clock, -max-depth and
 // -max-nodes reject oversized documents at parse time, and
@@ -24,8 +24,14 @@
 //
 // With -checkpoint DIR the run persists its progress to DIR
 // crash-safely; rerunning the same command after an interruption or a
-// crash resumes from the last durable state instead of starting over.
-// A checkpoint recorded for a different config or input is refused.
+// crash resumes from the last durable state instead of starting over:
+// the rerun scans the input's tokens again to rebuild its GK rows and
+// skips the detection work already done. A checkpoint recorded for a
+// different config or input is refused. A checkpointed run reads
+// tokens too; with -output, -clusters or -clusters-csv it parses the
+// input for those exports after the run completes, so that one
+// combination reads the input twice. -gk-in cannot be checkpointed:
+// GK relations carry no document to bind the checkpoint to.
 //
 // Performance: -pair-workers N parallelizes the window sweep inside
 // each key pass (default: all cores; 0 restores the single-threaded
@@ -118,7 +124,7 @@ func run(args []string) error {
 		stats      = fs.Bool("stats", false, "print phase timings and comparison counts")
 		csvPath    = fs.String("clusters-csv", "", "write duplicate groups as CSV here")
 		xmlPath    = fs.String("clusters-xml", "", "write the full cluster sets as XML here")
-		stream     = fs.Bool("stream", false, "refuse the outputs that need the parsed document (-output, -clusters, -clusters-csv, -checkpoint); runs without them stream anyway")
+		stream     = fs.Bool("stream", false, "refuse the outputs that need the parsed document (-output, -clusters, -clusters-csv); runs without them stream anyway")
 		gkOut      = fs.String("gk-out", "", "write the run's GK relations here (reload them with -gk-in)")
 		gkIn       = fs.String("gk-in", "", "run detection over previously saved GK relations instead of -input")
 		ckptDir    = fs.String("checkpoint", "", "persist progress to this directory and auto-resume from it")
@@ -192,14 +198,14 @@ func run(args []string) error {
 	var docFP string
 	var res *sxnm.Result
 	var runErr error
-	if *ckptDir != "" && (*stream || *gkIn != "") {
-		// Both modes run without a materialized document, so there is
-		// no document fingerprint to bind the checkpoint to.
-		return fmt.Errorf("-checkpoint cannot be combined with -stream or -gk-in")
+	if *ckptDir != "" && *gkIn != "" {
+		// GK relations carry no document fingerprint to bind the
+		// checkpoint to.
+		return fmt.Errorf("-checkpoint cannot be combined with -gk-in")
 	}
 	// Only these outputs read the document itself; every other run
 	// builds its GK rows straight from the input's tokens.
-	needDoc := *outputPath != "" || *clusters || *csvPath != "" || *ckptDir != ""
+	needDoc := *outputPath != "" || *clusters || *csvPath != ""
 	o.startProgress()
 	switch {
 	case *gkIn != "":
@@ -214,6 +220,13 @@ func run(args []string) error {
 		res, runErr = det.RunFromGKContext(ctx, f)
 	case needDoc && *stream:
 		return fmt.Errorf("-stream refuses -output, -clusters and -clusters-csv: they need the parsed document")
+	case *ckptDir != "":
+		f, err := os.Open(*inputPath)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		res, runErr = det.RunCheckpointedContext(ctx, f, *ckptDir)
 	case needDoc:
 		sp := o.ob.StartSpan("parse")
 		doc, err = xmltree.ParseFileWithLimits(*inputPath, lim)
@@ -221,11 +234,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if *ckptDir != "" {
-			res, runErr = det.RunCheckpointedContext(ctx, doc, *ckptDir)
-		} else {
-			res, runErr = det.RunContext(ctx, doc)
-		}
+		res, runErr = det.RunContext(ctx, doc)
 	case *reportOut != "":
 		res, docFP, runErr = det.RunFileFingerprint(ctx, *inputPath)
 	default:
@@ -234,6 +243,7 @@ func run(args []string) error {
 	o.stopProgress()
 	// Observability outputs are written for interrupted runs too: a
 	// cut-short job still leaves its trace, metrics, and report behind.
+	// A run over the tokens leaves its fingerprint on its parse span.
 	if doc != nil && *reportOut != "" {
 		if docFP, err = sxnm.DocumentFingerprint(doc); err != nil {
 			docFP = ""
@@ -254,7 +264,8 @@ func run(args []string) error {
 		// status. Document-derived outputs are skipped — they would
 		// silently reflect a partially deduplicated document.
 		reportIncomplete(res)
-		if *ckptDir != "" {
+		// A scan cut short never reached the checkpoint.
+		if *ckptDir != "" && res.Incomplete.Phase != core.PhaseKeyGen {
 			fmt.Fprintf(os.Stderr, "sxnm: progress saved; rerun the same command to resume from %s\n", *ckptDir)
 		}
 		for _, s := range sxnm.Summarize(res) {
@@ -262,6 +273,12 @@ func run(args []string) error {
 				s.Candidate, s.Elements, s.Clusters, s.NonSingleton, s.Pairs)
 		}
 		return runErr
+	}
+	if needDoc && doc == nil {
+		// The checkpointed run read tokens; its exports need the tree.
+		if doc, err = xmltree.ParseFileWithLimits(*inputPath, lim); err != nil {
+			return err
+		}
 	}
 
 	if *gkOut != "" {
@@ -457,7 +474,9 @@ func (o *observability) finish(cfg *sxnm.Config, docFP string) error {
 		if fp, err := sxnm.ConfigFingerprint(cfg); err == nil {
 			rep.ConfigFingerprint = fp
 		}
-		rep.DocFingerprint = docFP
+		if docFP != "" {
+			rep.DocFingerprint = docFP
+		}
 		if err := writeTo(o.report, func(w io.Writer) error {
 			return rep.WriteJSON(w)
 		}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -251,13 +252,51 @@ func TestRunCheckpointFlagConflicts(t *testing.T) {
 	dir := t.TempDir()
 	cfg := write(t, dir, "cfg.xml", testConfig)
 	data := write(t, dir, "data.xml", testData)
-	for _, args := range [][]string{
-		{"-config", cfg, "-input", data, "-checkpoint", dir, "-stream"},
-		{"-config", cfg, "-gk-in", data, "-checkpoint", dir},
-	} {
-		if err := run(args); err == nil || !strings.Contains(err.Error(), "-checkpoint") {
-			t.Errorf("%v: want -checkpoint conflict error, got %v", args, err)
-		}
+	args := []string{"-config", cfg, "-gk-in", data, "-checkpoint", dir}
+	if err := run(args); err == nil || !strings.Contains(err.Error(), "-checkpoint") {
+		t.Errorf("%v: want -checkpoint conflict error, got %v", args, err)
+	}
+}
+
+// TestRunStreamCheckpointRoundTrip interrupts a -stream -checkpoint
+// run and reruns it: the rerun resumes to the clusters of an
+// uncheckpointed run, and its report carries the parsed tree's
+// DocumentFingerprint, taken from the run's own scan.
+func TestRunStreamCheckpointRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	cfg, data := corpusFiles(t, dir)
+	refXML, gotXML := filepath.Join(dir, "ref.xml"), filepath.Join(dir, "got.xml")
+	rep, ckpt := filepath.Join(dir, "rep.json"), filepath.Join(dir, "ckpt")
+	if err := run([]string{"-config", cfg, "-input", data, "-clusters-xml", refXML}); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-config", cfg, "-input", data, "-stream", "-checkpoint", ckpt, "-max-comparisons", "200"})
+	if code := reportErr(io.Discard, err); code != 3 {
+		t.Fatalf("interrupted -stream -checkpoint run: exit %d (%v), want 3", code, err)
+	}
+	if err := run([]string{"-config", cfg, "-input", data, "-stream", "-checkpoint", ckpt,
+		"-clusters-xml", gotXML, "-report", rep}); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if got, want := readFile(t, gotXML), readFile(t, refXML); string(got) != string(want) {
+		t.Error("resumed -clusters-xml differs from the uncheckpointed run's")
+	}
+	var r struct {
+		DocFingerprint string          `json:"doc_fingerprint"`
+		Resume         json.RawMessage `json:"resume"`
+	}
+	if err := json.Unmarshal(readFile(t, rep), &r); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Resume) == 0 {
+		t.Error("rerun's report carries no resume object; it did not resume")
+	}
+	doc, err := sxnm.ParseXMLFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := sxnm.DocumentFingerprint(doc); err != nil || r.DocFingerprint != want {
+		t.Errorf("doc_fingerprint %q, want %q (%v)", r.DocFingerprint, want, err)
 	}
 }
 

@@ -1,8 +1,13 @@
 package sxnm
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // Tests for the facade-level wiring of the Sec. 5 extensions: config-
@@ -167,6 +172,10 @@ func TestRunStreamFacade(t *testing.T) {
 	}
 }
 
+// TestGKPersistenceFacade writes GK relations from the tokens with
+// WriteGK: the bytes are those sxnm -gk-out writes from a run's tables,
+// RunFromGK over them gives RunReader's clusters, and the Detector's
+// Limits bound the scan.
 func TestGKPersistenceFacade(t *testing.T) {
 	cfg, err := LoadConfig(strings.NewReader(demoConfig))
 	if err != nil {
@@ -176,19 +185,22 @@ func TestGKPersistenceFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := ParseXMLString(demoXML)
+	var dump bytes.Buffer
+	if err := det.WriteGK(strings.NewReader(demoXML), &dump); err != nil {
+		t.Fatal(err)
+	}
+	direct, err := det.RunReader(strings.NewReader(demoXML))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dump strings.Builder
-	if err := det.WriteGK(doc, &dump); err != nil {
+	var gkOut bytes.Buffer // what sxnm -gk-out writes after the run
+	if err := core.WriteGK(&gkOut, &core.KeyGenResult{Tables: direct.Tables}); err != nil {
 		t.Fatal(err)
 	}
-	fromGK, err := det.RunFromGK(strings.NewReader(dump.String()))
-	if err != nil {
-		t.Fatal(err)
+	if dump.Len() == 0 || dump.String() != gkOut.String() {
+		t.Errorf("WriteGK wrote %d bytes, sxnm -gk-out %d; they differ", dump.Len(), gkOut.Len())
 	}
-	direct, err := det.Run(doc)
+	fromGK, err := det.RunFromGK(bytes.NewReader(dump.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +208,13 @@ func TestGKPersistenceFacade(t *testing.T) {
 		if fromGK.Clusters[name].String() != direct.Clusters[name].String() {
 			t.Errorf("%s: GK-loaded clusters differ", name)
 		}
+	}
+	limited, err := NewWithOptions(cfg, Options{Limits: Limits{MaxNodes: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := limited.WriteGK(strings.NewReader(demoXML), io.Discard); !errors.Is(err, ErrLimitExceeded) {
+		t.Errorf("WriteGK over MaxNodes: want ErrLimitExceeded, got %v", err)
 	}
 	if _, err := det.RunFromGK(strings.NewReader("garbage\tline")); err == nil {
 		t.Error("bad GK dump should fail")

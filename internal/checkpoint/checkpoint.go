@@ -1,10 +1,12 @@
 // Package checkpoint persists the durable state of an SXNM run to a
 // run directory so an interrupted or crashed run resumes instead of
-// restarting. The directory holds immutable section files — the GK
-// tables in the core TSV format, one cluster-set file per completed
-// candidate, and pass-level pair progress for the candidate in flight
-// — plus a manifest naming each section with its SHA-256 and the
-// config/document fingerprints the state belongs to.
+// restarting. The directory holds immutable section files — one
+// cluster-set file per completed candidate and pass-level pair
+// progress for the candidate in flight — plus a manifest naming each
+// section with its SHA-256 and the config/document fingerprints the
+// state belongs to. The GK tables are not saved: the scan that
+// fingerprints the document to check it against the manifest builds
+// them again in the same pass.
 //
 // Every write is crash-safe: content goes to a temp file, is fsynced,
 // and is renamed into place before the manifest (itself written the
@@ -19,7 +21,6 @@ package checkpoint
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -132,11 +133,8 @@ func (f *TokenFingerprint) Sum() string {
 
 // State is the durable progress recovered from a checkpoint.
 type State struct {
-	// Phase is PhaseKeyGen, PhaseDetect, or PhaseDone.
+	// Phase is PhaseDetect or PhaseDone.
 	Phase string
-	// KeyGen holds the recovered GK tables; nil while Phase is
-	// PhaseKeyGen (key generation must rerun from the document).
-	KeyGen *core.KeyGenResult
 	// Clusters are the completed candidates' cluster sets.
 	Clusters map[string]*cluster.ClusterSet
 	// Progress is the pass-level state of candidates cut short mid-way.
@@ -217,7 +215,9 @@ func (d *Dir) Path() string { return d.path }
 
 // Create initializes a fresh checkpoint in dir for a run with the
 // given fingerprints, discarding any previous checkpoint state found
-// there. The directory is created if missing.
+// there. The directory is created if missing. The manifest starts in
+// the detection phase: the caller creates the checkpoint once the scan
+// that fingerprinted the document has built the GK tables.
 func Create(fsys FS, dir, configFP, docFP string) (*Dir, error) {
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
@@ -233,7 +233,7 @@ func Create(fsys FS, dir, configFP, docFP string) (*Dir, error) {
 			}
 		}
 	}
-	d.man = manifest{ConfigFP: configFP, DocFP: docFP, Phase: PhaseKeyGen}
+	d.man = manifest{ConfigFP: configFP, DocFP: docFP, Phase: PhaseDetect}
 	if err := d.writeManifest(); err != nil {
 		return nil, err
 	}
@@ -275,17 +275,6 @@ func Load(fsys FS, dir string, cfg *config.Config, configFP, docFP string) (*Dir
 		Phase:    man.Phase,
 		Clusters: make(map[string]*cluster.ClusterSet),
 		Progress: make(map[string]*core.CandidateProgress),
-	}
-	if man.GK != nil {
-		data, err := readSection(dir, man.GK)
-		if err != nil {
-			return nil, nil, err
-		}
-		kg, err := core.ReadGK(bytes.NewReader(data), cfg)
-		if err != nil {
-			return nil, nil, &CorruptError{Path: filepath.Join(dir, man.GK.File), Reason: err.Error()}
-		}
-		st.KeyGen = kg
 	}
 	for _, cl := range man.Clusters {
 		data, err := readSection(dir, &cl.section)
@@ -349,29 +338,6 @@ func readSection(dir string, sec *section) ([]byte, error) {
 		return nil, &CorruptError{Path: path, Reason: "section checksum mismatch"}
 	}
 	return data, nil
-}
-
-// KeysGenerated persists the GK tables and moves the checkpoint into
-// the detection phase. Implements core.Checkpointer.
-func (d *Dir) KeysGenerated(kg *core.KeyGenResult) (err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	end := d.opSpan("gk")
-	defer func() { end(err) }()
-	sec, err := d.writeSection("gk", func(w io.Writer) error {
-		return core.WriteGK(w, kg)
-	})
-	if err != nil {
-		return err
-	}
-	old := d.man.GK
-	d.man.GK = &sec
-	d.man.Phase = PhaseDetect
-	if err := d.writeManifest(); err != nil {
-		return err
-	}
-	d.removeOld(old)
-	return nil
 }
 
 // Progress persists pass-level progress for one candidate, replacing

@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -137,32 +139,51 @@ func referenceClusters(t *testing.T) string {
 	return clustersString(res.Clusters)
 }
 
+// scanCorpus is the reader path's one pass over the corpus: it builds
+// the GK tables from the tokens and fingerprints the document.
+func scanCorpus(cfg *config.Config) (*core.KeyGenResult, string, error) {
+	sc := xmltree.NewScanner(strings.NewReader(corpusXML), runlimit.Limits{})
+	fp := FingerprintTokens(sc)
+	kg, err := core.GenerateKeysScan(context.Background(), sc, cfg, core.Limits{}, nil)
+	if err != nil {
+		return nil, "", err
+	}
+	return kg, fp.Sum(), nil
+}
+
 // runCheckpointed performs one fresh checkpointed run over the corpus
-// through the given FS, as the facade would.
-func runCheckpointed(fsys FS, dir string, cfg *config.Config, doc *xmltree.Document,
-	cfgFP, docFP string, lim core.Limits) (*core.Result, error) {
+// through the given FS, as the facade would: scan, create the
+// checkpoint bound to the scan's fingerprint, detect, finish.
+func runCheckpointed(fsys FS, dir string, cfg *config.Config, cfgFP string, lim core.Limits) (*core.Result, error) {
+	kg, docFP, err := scanCorpus(cfg)
+	if err != nil {
+		return nil, err
+	}
 	d, err := Create(fsys, dir, cfgFP, docFP)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.RunContext(context.Background(), doc, cfg, core.Options{Limits: lim, Checkpointer: d})
+	res, err := core.DetectContext(context.Background(), kg, cfg, core.Options{Limits: lim, Checkpointer: d})
 	if err != nil {
 		return res, err
 	}
 	return res, d.Finish()
 }
 
-// resumeRun loads the checkpoint in dir and continues it to
-// completion, falling back to a clean restart when nothing valid
-// survives — the recovery policy the facade implements.
-func resumeRun(t *testing.T, fsys FS, dir string, cfg *config.Config, doc *xmltree.Document,
-	cfgFP, docFP string) *core.Result {
+// resumeRun scans the corpus again, loads the checkpoint in dir and
+// continues it to completion, falling back to a clean restart when
+// nothing valid survives — the recovery policy the facade implements.
+func resumeRun(t *testing.T, fsys FS, dir string, cfg *config.Config, cfgFP string) *core.Result {
 	t.Helper()
+	kg, docFP, err := scanCorpus(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, st, err := Load(fsys, dir, cfg, cfgFP, docFP)
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrNoCheckpoint), errors.Is(err, ErrCorrupt):
-		res, rerr := runCheckpointed(fsys, dir, cfg, doc, cfgFP, docFP, core.Limits{})
+		res, rerr := runCheckpointed(fsys, dir, cfg, cfgFP, core.Limits{})
 		if rerr != nil {
 			t.Fatalf("clean restart after %v: %v", err, rerr)
 		}
@@ -170,14 +191,8 @@ func resumeRun(t *testing.T, fsys FS, dir string, cfg *config.Config, doc *xmltr
 	default:
 		t.Fatalf("load: %v", err)
 	}
-	opts := core.Options{Checkpointer: d}
-	var res *core.Result
-	if st.KeyGen == nil {
-		res, err = core.RunContext(context.Background(), doc, cfg, opts)
-	} else {
-		opts.Resume = st.ResumeState()
-		res, err = core.DetectContext(context.Background(), st.KeyGen, cfg, opts)
-	}
+	res, err := core.DetectContext(context.Background(), kg, cfg,
+		core.Options{Checkpointer: d, Resume: st.ResumeState()})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -191,7 +206,7 @@ func TestCheckpointedRunMatchesPlainRun(t *testing.T) {
 	cfg, doc := corpusConfig(t), corpusDoc(t)
 	cfgFP, docFP := fingerprints(t, cfg, doc)
 	dir := t.TempDir()
-	res, err := runCheckpointed(OSFS(), dir, cfg, doc, cfgFP, docFP, core.Limits{})
+	res, err := runCheckpointed(OSFS(), dir, cfg, cfgFP, core.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +251,7 @@ func TestResumeAfterEveryInterruption(t *testing.T) {
 	for cap := 1; cap < total; cap++ {
 		dir := t.TempDir()
 		lim := core.Limits{MaxComparisons: cap, CheckEvery: 1}
-		res, err := runCheckpointed(OSFS(), dir, cfg, doc, cfgFP, docFP, lim)
+		res, err := runCheckpointed(OSFS(), dir, cfg, cfgFP, lim)
 		if err == nil {
 			t.Fatalf("cap %d: run unexpectedly completed", cap)
 		}
@@ -253,7 +268,7 @@ func TestResumeAfterEveryInterruption(t *testing.T) {
 		if len(st.Progress) > 0 {
 			resumedWithProgress++
 		}
-		resumed := resumeRun(t, OSFS(), dir, cfg, doc, cfgFP, docFP)
+		resumed := resumeRun(t, OSFS(), dir, cfg, cfgFP)
 		if got := clustersString(resumed.Clusters); got != want {
 			t.Errorf("cap %d: resumed clusters differ:\n%s\nwant:\n%s", cap, got, want)
 		}
@@ -267,7 +282,7 @@ func TestLoadRejectsMismatchedFingerprints(t *testing.T) {
 	cfg, doc := corpusConfig(t), corpusDoc(t)
 	cfgFP, docFP := fingerprints(t, cfg, doc)
 	dir := t.TempDir()
-	if _, err := runCheckpointed(OSFS(), dir, cfg, doc, cfgFP, docFP, core.Limits{}); err != nil {
+	if _, err := runCheckpointed(OSFS(), dir, cfg, cfgFP, core.Limits{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -309,7 +324,7 @@ func TestLoadRejectsCorruptBytes(t *testing.T) {
 
 	setup := func(t *testing.T) string {
 		dir := t.TempDir()
-		if _, err := runCheckpointed(OSFS(), dir, cfg, doc, cfgFP, docFP, core.Limits{}); err != nil {
+		if _, err := runCheckpointed(OSFS(), dir, cfg, cfgFP, core.Limits{}); err != nil {
 			t.Fatal(err)
 		}
 		return dir
@@ -398,7 +413,7 @@ func TestLoadRejectsCorruptBytes(t *testing.T) {
 		if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		res := resumeRun(t, OSFS(), dir, cfg, doc, cfgFP, docFP)
+		res := resumeRun(t, OSFS(), dir, cfg, cfgFP)
 		if got := clustersString(res.Clusters); got != referenceClusters(t) {
 			t.Errorf("clean restart clusters differ:\n%s", got)
 		}
@@ -450,5 +465,31 @@ func TestTokenFingerprintMatchesDocument(t *testing.T) {
 		if got := fp.Sum(); got != want {
 			t.Errorf("input %d: token fingerprint %s, tree %s", i, got, want)
 		}
+	}
+}
+
+// TestLoadRefusesVersion1 hand-writes a format v1 checkpoint, whose
+// manifest also named a gk section holding the GK tables, and requires
+// Load to refuse it as a format-version mismatch, not as corruption.
+func TestLoadRefusesVersion1(t *testing.T) {
+	cfg, doc := corpusConfig(t), corpusDoc(t)
+	cfgFP, docFP := fingerprints(t, cfg, doc)
+	dir := t.TempDir()
+	gk := []byte("#gk\tmovie\trows=0\n")
+	gkSum := sha256.Sum256(gk)
+	body := "#sxnm-checkpoint\tv1\nseq\t1\nconfig\t" + cfgFP + "\ndocument\t" + docFP +
+		"\nphase\tdetection\ngk\ts00001-gk.tsv\t" + hex.EncodeToString(gkSum[:]) + "\n"
+	sum := sha256.Sum256([]byte(body))
+	if err := os.WriteFile(filepath.Join(dir, "s00001-gk.tsv"), gk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName),
+		[]byte(body+"#checksum\t"+hex.EncodeToString(sum[:])+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := Load(OSFS(), dir, cfg, cfgFP, docFP)
+	var me *MismatchError
+	if !errors.As(err, &me) || me.Field != "format-version" || me.Got != "v1" || me.Want != "v2" {
+		t.Errorf("v1 manifest: want a format-version *MismatchError (v2 wanted, v1 found), got %v", err)
 	}
 }

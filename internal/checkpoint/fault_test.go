@@ -13,12 +13,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/checkpoint/faultfs"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/runlimit"
 	"repro/internal/xmltree"
 )
 
@@ -82,6 +84,19 @@ func faultConfig(t *testing.T) *config.Config {
 	return cfg
 }
 
+// scanFaultCorpus is the reader path's one pass over the corpus: the
+// GK tables built from the tokens, and the document fingerprint.
+func scanFaultCorpus(t *testing.T, cfg *config.Config) (*core.KeyGenResult, string) {
+	t.Helper()
+	sc := xmltree.NewScanner(strings.NewReader(faultCorpusXML), runlimit.Limits{})
+	fp := checkpoint.FingerprintTokens(sc)
+	kg, err := core.GenerateKeysScan(context.Background(), sc, cfg, core.Limits{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kg, fp.Sum()
+}
+
 func TestCrashRecoveryAtEveryStep(t *testing.T) {
 	cfg := faultConfig(t)
 	doc, err := xmltree.ParseString(faultCorpusXML)
@@ -89,10 +104,6 @@ func TestCrashRecoveryAtEveryStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgFP, err := checkpoint.ConfigFingerprint(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	docFP, err := checkpoint.DocumentFingerprint(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +115,16 @@ func TestCrashRecoveryAtEveryStep(t *testing.T) {
 	want := renderClusters(ref)
 
 	// One crash-free run under the counting FS learns how many I/O
-	// steps a full checkpointed run performs.
-	run := func(fsys checkpoint.FS, dir string) (*core.Result, error) {
+	// steps a full checkpointed run performs. Each run scans the
+	// document first, as the facade does, and binds the checkpoint to
+	// that scan's fingerprint.
+	run := func(t *testing.T, fsys checkpoint.FS, dir string) (*core.Result, error) {
+		kg, docFP := scanFaultCorpus(t, cfg)
 		d, err := checkpoint.Create(fsys, dir, cfgFP, docFP)
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.RunContext(context.Background(), doc, cfg,
+		res, err := core.DetectContext(context.Background(), kg, cfg,
 			core.Options{Checkpointer: d})
 		if err != nil {
 			return res, err
@@ -118,7 +132,7 @@ func TestCrashRecoveryAtEveryStep(t *testing.T) {
 		return res, d.Finish()
 	}
 	counter := faultfs.New(checkpoint.OSFS())
-	if _, err := run(counter, t.TempDir()); err != nil {
+	if _, err := run(t, counter, t.TempDir()); err != nil {
 		t.Fatalf("crash-free run: %v", err)
 	}
 	steps := counter.Steps()
@@ -128,16 +142,18 @@ func TestCrashRecoveryAtEveryStep(t *testing.T) {
 	t.Logf("full checkpointed run = %d I/O steps", steps)
 
 	// recover reloads the surviving bytes exactly as a fresh process
-	// would (healthy OS filesystem, plain reads) and continues to
-	// completion — resuming when a valid checkpoint exists, restarting
-	// clean otherwise. Returns the clusters plus whether state survived.
+	// would (healthy OS filesystem, plain reads, a new scan of the
+	// document) and continues to completion — resuming when a valid
+	// checkpoint exists, restarting clean otherwise. Returns the
+	// clusters plus whether state survived.
 	recover := func(t *testing.T, dir string) (string, bool) {
 		t.Helper()
+		kg, docFP := scanFaultCorpus(t, cfg)
 		d, st, err := checkpoint.Load(checkpoint.OSFS(), dir, cfg, cfgFP, docFP)
 		switch {
 		case err == nil:
 		case errors.Is(err, checkpoint.ErrNoCheckpoint), errors.Is(err, checkpoint.ErrCorrupt):
-			res, rerr := run(checkpoint.OSFS(), dir)
+			res, rerr := run(t, checkpoint.OSFS(), dir)
 			if rerr != nil {
 				t.Fatalf("clean restart after %v: %v", err, rerr)
 			}
@@ -145,15 +161,9 @@ func TestCrashRecoveryAtEveryStep(t *testing.T) {
 		default:
 			t.Fatalf("load after crash: %v", err)
 		}
-		opts := core.Options{Checkpointer: d}
-		resumedState := st.KeyGen != nil || len(st.Clusters) > 0 || len(st.Progress) > 0
-		var res *core.Result
-		if st.KeyGen == nil {
-			res, err = core.RunContext(context.Background(), doc, cfg, opts)
-		} else {
-			opts.Resume = st.ResumeState()
-			res, err = core.DetectContext(context.Background(), st.KeyGen, cfg, opts)
-		}
+		resumedState := len(st.Clusters) > 0 || len(st.Progress) > 0
+		res, err := core.DetectContext(context.Background(), kg, cfg,
+			core.Options{Checkpointer: d, Resume: st.ResumeState()})
 		if err != nil {
 			t.Fatalf("resume after crash: %v", err)
 		}
@@ -175,7 +185,7 @@ func TestCrashRecoveryAtEveryStep(t *testing.T) {
 				dir := t.TempDir()
 				fsys := faultfs.New(checkpoint.OSFS())
 				fsys.CrashAt(at, torn)
-				_, runErr := run(fsys, dir)
+				_, runErr := run(t, fsys, dir)
 				if !fsys.Crashed() {
 					t.Fatalf("crash at step %d never fired (run err: %v)", at, runErr)
 				}

@@ -18,7 +18,6 @@ func FuzzParseManifest(f *testing.F) {
 		ConfigFP: fp,
 		DocFP:    fp,
 		Phase:    PhaseDetect,
-		GK:       &section{File: "s00001-gk.tsv", SHA: fp},
 		Clusters: []clusterSection{{Candidate: "movie", section: section{File: "s00002-clusters.tsv", SHA: fp}}},
 		Pairs:    []pairsSection{{Candidate: "person", NextPass: 1, section: section{File: "s00003-pairs.tsv", SHA: fp}}},
 	})

@@ -16,14 +16,14 @@ import (
 // previous manifest pointing at intact files. A trailing self-checksum
 // line detects torn or corrupted manifest bytes.
 //
-// Format (version 1):
+// Format (version 2; version 1 also held a gk section with the GK
+// tables, which a resume now rebuilds from the document's tokens):
 //
-//	#sxnm-checkpoint	v1
+//	#sxnm-checkpoint	v2
 //	seq	<n>
 //	config	<sha256 hex>
 //	document	<sha256 hex>
-//	phase	<key-generation|detection|done>
-//	gk	<file>	<sha256 hex>
+//	phase	<detection|done>
 //	clusters	<candidate>	<file>	<sha256 hex>
 //	pairs	<candidate>	<next pass>	<file>	<sha256 hex>
 //	#checksum	<sha256 hex of all preceding bytes>
@@ -35,16 +35,13 @@ import (
 const (
 	manifestName  = "manifest.tsv"
 	manifestMagic = "#sxnm-checkpoint"
-	formatVersion = 1
+	formatVersion = 2
 )
 
 // Phases recorded in the manifest.
 const (
-	// PhaseKeyGen: key generation has not completed; only the
-	// fingerprints are durable and a resume restarts from scratch.
-	PhaseKeyGen = "key-generation"
-	// PhaseDetect: the GK tables are durable and detection is under
-	// way; a resume skips key generation and completed candidates.
+	// PhaseDetect: detection is under way; a resume skips completed
+	// candidates and continues the others from their pass progress.
 	PhaseDetect = "detection"
 	// PhaseDone: every candidate's cluster set is durable.
 	PhaseDone = "done"
@@ -71,7 +68,6 @@ type manifest struct {
 	ConfigFP string
 	DocFP    string
 	Phase    string
-	GK       *section
 	Clusters []clusterSection
 	Pairs    []pairsSection
 }
@@ -106,9 +102,6 @@ func encodeManifest(m *manifest) []byte {
 	fmt.Fprintf(&b, "config\t%s\n", m.ConfigFP)
 	fmt.Fprintf(&b, "document\t%s\n", m.DocFP)
 	fmt.Fprintf(&b, "phase\t%s\n", m.Phase)
-	if m.GK != nil {
-		fmt.Fprintf(&b, "gk\t%s\t%s\n", m.GK.File, m.GK.SHA)
-	}
 	for _, c := range m.Clusters {
 		fmt.Fprintf(&b, "clusters\t%s\t%s\t%s\n", escapeField(c.Candidate), c.File, c.SHA)
 	}
@@ -189,19 +182,11 @@ func parseManifest(data []byte) (*manifest, error) {
 				}
 				m.DocFP = f[1]
 			case "phase":
-				if f[1] != PhaseKeyGen && f[1] != PhaseDetect && f[1] != PhaseDone {
+				if f[1] != PhaseDetect && f[1] != PhaseDone {
 					return bad("unknown phase " + strconv.Quote(f[1]))
 				}
 				m.Phase = f[1]
 			}
-		case "gk":
-			if len(f) != 3 || m.GK != nil {
-				return bad("malformed or duplicate gk section")
-			}
-			if !isSectionFile(f[1]) || !isHexDigest(f[2]) {
-				return bad("malformed gk section")
-			}
-			m.GK = &section{File: f[1], SHA: f[2]}
 		case "clusters":
 			if len(f) != 4 || !isSectionFile(f[2]) || !isHexDigest(f[3]) {
 				return bad("malformed clusters section")
@@ -234,9 +219,6 @@ func parseManifest(data []byte) (*manifest, error) {
 		if !seen[key] {
 			return corrupt("missing %s line", key)
 		}
-	}
-	if m.Phase != PhaseKeyGen && m.GK == nil {
-		return corrupt("phase %s without gk section", m.Phase)
 	}
 	return m, nil
 }

@@ -50,8 +50,6 @@ func newRecordingCkpt() *recordingCkpt {
 	return &recordingCkpt{perCand: make(map[string][]string)}
 }
 
-func (r *recordingCkpt) KeysGenerated(kg *KeyGenResult) error { return nil }
-
 func (r *recordingCkpt) Progress(candidate string, nextPass int, pairs []cluster.Pair) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

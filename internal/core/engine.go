@@ -131,8 +131,8 @@ type Options struct {
 	// how far it got) alongside the typed cause.
 	Limits Limits
 	// Checkpointer, when non-nil, receives durable-progress callbacks:
-	// the GK tables after key generation, per-candidate pass progress,
-	// and each finished candidate's cluster set. An error from a
+	// per-candidate pass progress and each finished candidate's
+	// cluster set. An error from a
 	// callback aborts the run (except the best-effort flush during an
 	// interruption, whose error is dropped).
 	Checkpointer Checkpointer
@@ -223,11 +223,6 @@ func RunContext(ctx context.Context, doc *xmltree.Document, cfg *config.Config, 
 			return PartialFromKeyGen(kg, err), err
 		}
 		return nil, err
-	}
-	if opts.Checkpointer != nil {
-		if cerr := opts.Checkpointer.KeysGenerated(kg); cerr != nil {
-			return nil, fmt.Errorf("core: checkpoint key generation: %w", cerr)
-		}
 	}
 	return DetectContext(ctx, kg, cfg, opts)
 }

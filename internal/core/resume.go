@@ -6,8 +6,6 @@ import "repro/internal/cluster"
 // crash or eviction loses at most the work since the last callback.
 // The engine invokes the methods at well-defined points:
 //
-//   - KeysGenerated once, after the key generation phase completes,
-//     with the full GK tables (the phase boundary of Sec. 3.1).
 //   - Progress whenever a candidate's detection reaches a durable
 //     intermediate state: after each completed key pass, and
 //     best-effort when an interruption cuts a candidate short. The
@@ -18,9 +16,9 @@ import "repro/internal/cluster"
 //   - CandidateDone after a candidate's cluster set is final, in
 //     bottom-up completion order.
 //
-// A non-nil error from KeysGenerated, Progress, or CandidateDone on
-// the normal path aborts the run — the caller asked for durability,
-// so continuing without it would be silent data loss. The one
+// A non-nil error from Progress or CandidateDone on the normal path
+// aborts the run — the caller asked for durability, so continuing
+// without it would be silent data loss. The one
 // exception is the best-effort Progress flush performed while an
 // interruption is already unwinding: its error is dropped, because
 // the typed interruption cause must win and the checkpoint merely
@@ -30,7 +28,6 @@ import "repro/internal/cluster"
 // detection loop, one candidate after another. internal/checkpoint.Dir
 // implements this interface.
 type Checkpointer interface {
-	KeysGenerated(kg *KeyGenResult) error
 	Progress(candidate string, nextPass int, pairs []cluster.Pair) error
 	CandidateDone(candidate string, cs *cluster.ClusterSet) error
 }

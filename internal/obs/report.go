@@ -35,6 +35,9 @@ const (
 	AttrPhase          = "phase"
 	AttrCause          = "cause"
 	AttrStream         = "stream"
+	// AttrDocFingerprint on a parse span is the document fingerprint
+	// hashed from the scanned tokens; it fills Report.DocFingerprint.
+	AttrDocFingerprint = "doc_fingerprint"
 
 	// Similarity memo counters, set on candidate spans when
 	// Options.SimCache is enabled.
@@ -135,8 +138,9 @@ type Totals struct {
 
 // Report is the machine-readable run summary emitted as report.json
 // (and committed as BENCH_*.json baselines). Identification fields
-// (fingerprints, input, args) are filled by the caller; everything
-// else comes from the Collector and Metrics.
+// (fingerprints, input, args) are filled by the caller, except a
+// document fingerprint a parse span carries; everything else comes
+// from the Collector and Metrics.
 type Report struct {
 	Schema            string    `json:"schema"`
 	GeneratedAt       time.Time `json:"generated_at"`
@@ -193,6 +197,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 type Collector struct {
 	mu          sync.Mutex
 	parse       time.Duration
+	docFP       string
 	keyGen      time.Duration
 	detectWall  time.Duration
 	candidates  map[string]*CandidateReport
@@ -221,6 +226,9 @@ func (c *Collector) Emit(r Record) {
 	switch r.Name {
 	case SpanParse:
 		c.parse += r.Dur
+		if fp := r.AttrString(AttrDocFingerprint); fp != "" {
+			c.docFP = fp
+		}
 	case SpanKeyGen:
 		c.keyGen += r.Dur
 	case SpanDetect:
@@ -285,15 +293,16 @@ func (c *Collector) Report(m *Metrics) *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rep := &Report{
-		Schema:       ReportSchema,
-		GeneratedAt:  time.Now().UTC(),
-		ParseMS:      ms(c.parse),
-		KeyGenMS:     ms(c.keyGen),
-		DetectWallMS: ms(c.detectWall),
-		Checkpoint:   nil,
-		Resume:       c.resume,
-		Interrupted:  c.interrupted,
-		Metrics:      m.Snapshot(),
+		Schema:         ReportSchema,
+		GeneratedAt:    time.Now().UTC(),
+		DocFingerprint: c.docFP,
+		ParseMS:        ms(c.parse),
+		KeyGenMS:       ms(c.keyGen),
+		DetectWallMS:   ms(c.detectWall),
+		Checkpoint:     nil,
+		Resume:         c.resume,
+		Interrupted:    c.interrupted,
+		Metrics:        m.Snapshot(),
 	}
 	rep.PeakHeapBytes = rep.Metrics.PeakHeap
 	if c.checkpoint.Writes > 0 {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"sync/atomic"
@@ -40,7 +41,7 @@ func TestTwoDaemonTakeoverDifferential(t *testing.T) {
 	gate := make(chan struct{})
 	var scratch atomic.Int64
 	scratchRoot := t.TempDir()
-	aRunner := func(ctx context.Context, det *sxnm.Detector, doc *sxnm.Document, fsys sxnm.CheckpointFS, dir string) (*sxnm.Result, error) {
+	aRunner := func(ctx context.Context, det *sxnm.Detector, doc io.Reader, fsys sxnm.CheckpointFS, dir string) (*sxnm.Result, error) {
 		select {
 		case <-gate:
 			n := scratch.Add(1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -101,7 +102,7 @@ func TestDrainRestartDifferential(t *testing.T) {
 		SpoolDir: spoolDir,
 		Workers:  1,
 		Engine:   sxnm.Options{SpillThresholdRows: 1},
-		Runner: func(ctx context.Context, det *sxnm.Detector, doc *sxnm.Document, fsys sxnm.CheckpointFS, dir string) (*sxnm.Result, error) {
+		Runner: func(ctx context.Context, det *sxnm.Detector, doc io.Reader, fsys sxnm.CheckpointFS, dir string) (*sxnm.Result, error) {
 			close(started)
 			<-ctx.Done()
 			return nil, sxnm.ErrCanceled

@@ -135,7 +135,7 @@ func TestEventJournalLifecycle(t *testing.T) {
 func TestEventJournalRetryCause(t *testing.T) {
 	var calls atomic.Int64
 	s := newTestServer(t, func(c *Config) {
-		c.Runner = func(ctx context.Context, det *sxnm.Detector, doc *sxnm.Document, fsys sxnm.CheckpointFS, dir string) (*sxnm.Result, error) {
+		c.Runner = func(ctx context.Context, det *sxnm.Detector, doc io.Reader, fsys sxnm.CheckpointFS, dir string) (*sxnm.Result, error) {
 			if calls.Add(1) == 1 {
 				return nil, errors.New("synthetic transient fault")
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ import (
 // have done, and outcome.json is never written — a killed process
 // cannot write one — so recovery sees an unfinished job.
 
-func killFixture(t *testing.T) (*sxnm.Detector, *sxnm.Document) {
+func killFixture(t *testing.T) *sxnm.Detector {
 	t.Helper()
 	cfg, err := sxnm.LoadConfig(strings.NewReader(testConfigXML))
 	if err != nil {
@@ -39,18 +40,15 @@ func killFixture(t *testing.T) (*sxnm.Detector, *sxnm.Document) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := sxnm.ParseXMLString(testDocXML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return det, doc
+	return det
 }
 
 func TestDaemonKilledAtEveryStep(t *testing.T) {
-	det, doc := killFixture(t)
+	det := killFixture(t)
+	doc := func() io.Reader { return strings.NewReader(testDocXML) }
 
 	// Reference: an uninterrupted checkpointed run.
-	ref, err := det.RunCheckpointed(doc, t.TempDir())
+	ref, err := det.RunCheckpointed(doc(), t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +59,7 @@ func TestDaemonKilledAtEveryStep(t *testing.T) {
 
 	// Learn how many filesystem steps one full run performs.
 	counter := faultfs.New(checkpoint.OSFS())
-	if _, err := det.RunCheckpointedFSContext(context.Background(), doc, counter, t.TempDir()); err != nil {
+	if _, err := det.RunCheckpointedFSContext(context.Background(), doc(), counter, t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	steps := counter.Steps()
@@ -89,7 +87,7 @@ func TestDaemonKilledAtEveryStep(t *testing.T) {
 			// Generation 1 runs the job and dies at step n.
 			fsys := faultfs.New(checkpoint.OSFS())
 			fsys.CrashAt(n, torn)
-			_, runErr := defaultRunner(context.Background(), det, doc, fsys, sp.checkpointDir(id))
+			_, runErr := defaultRunner(context.Background(), det, doc(), fsys, sp.checkpointDir(id))
 			if runErr == nil && !fsys.Crashed() {
 				t.Fatalf("crash point %d (torn=%v) never fired within %d steps", n, torn, steps)
 			}
@@ -141,13 +139,10 @@ func TestDaemonKilledAtEveryStep(t *testing.T) {
 // with) must fail fast with the typed mismatch code — never retry,
 // never silently mix state.
 func TestRestartChecksCheckpointIdentity(t *testing.T) {
-	det, _ := killFixture(t)
-	otherDoc, err := sxnm.ParseXMLString(`<movie_database><movies>` +
+	det := killFixture(t)
+	otherDoc := `<movie_database><movies>` +
 		`<movie year="2001"><title>Amelie</title><people><person>Audrey Tautou</person></people></movie>` +
-		`</movies></movie_database>`)
-	if err != nil {
-		t.Fatal(err)
-	}
+		`</movies></movie_database>`
 
 	spoolDir := t.TempDir()
 	sp, err := newSpool(spoolDir, nil)
@@ -165,7 +160,7 @@ func TestRestartChecksCheckpointIdentity(t *testing.T) {
 	}
 	// Plant a finished checkpoint of the wrong document in the job's
 	// checkpoint directory.
-	if _, err := det.RunCheckpointed(otherDoc, sp.checkpointDir(id)); err != nil {
+	if _, err := det.RunCheckpointed(strings.NewReader(otherDoc), sp.checkpointDir(id)); err != nil {
 		t.Fatal(err)
 	}
 

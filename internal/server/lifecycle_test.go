@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -29,7 +30,7 @@ func TestGCCollectsTerminalSparesActive(t *testing.T) {
 	const gcTTL = 80 * time.Millisecond
 	var calls atomic.Int64
 	gate := make(chan struct{})
-	runner := func(ctx context.Context, det *sxnm.Detector, doc *sxnm.Document, fsys sxnm.CheckpointFS, dir string) (*sxnm.Result, error) {
+	runner := func(ctx context.Context, det *sxnm.Detector, doc io.Reader, fsys sxnm.CheckpointFS, dir string) (*sxnm.Result, error) {
 		if calls.Add(1) == 1 {
 			return defaultRunner(ctx, det, doc, fsys, dir)
 		}
@@ -338,7 +339,7 @@ func TestCancelDuringRetryBackoff(t *testing.T) {
 		c.MaxAttempts = 5
 		c.RetryBaseDelay = 30 * time.Second
 		c.RetryMaxDelay = 60 * time.Second
-		c.Runner = func(context.Context, *sxnm.Detector, *sxnm.Document, sxnm.CheckpointFS, string) (*sxnm.Result, error) {
+		c.Runner = func(context.Context, *sxnm.Detector, io.Reader, sxnm.CheckpointFS, string) (*sxnm.Result, error) {
 			return nil, fmt.Errorf("injected transient fault")
 		}
 	})

@@ -22,6 +22,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sync"
@@ -109,10 +110,12 @@ type Config struct {
 	CheckpointFS sxnm.CheckpointFS
 
 	// Runner, when set, replaces the engine invocation itself (tests
-	// inject faults and probes here). The default runs
-	// det.RunCheckpointedFSContext over the job's spooled checkpoint
-	// directory.
-	Runner func(ctx context.Context, det *sxnm.Detector, doc *sxnm.Document, fsys sxnm.CheckpointFS, ckptDir string) (*sxnm.Result, error)
+	// inject faults and probes here). doc reads the job's document
+	// bytes; no tree is built for it. The default runs
+	// det.RunCheckpointedFSContext over them and the job's spooled
+	// checkpoint directory: one token scan builds the GK rows and the
+	// fingerprint the checkpoint is bound to.
+	Runner func(ctx context.Context, det *sxnm.Detector, doc io.Reader, fsys sxnm.CheckpointFS, ckptDir string) (*sxnm.Result, error)
 
 	// DisableJournal turns off the per-job event journal
 	// (journal.jsonl; see journal.go). On by default — the journal is

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -253,9 +254,9 @@ func TestTypedRejections(t *testing.T) {
 
 // blockingRunner returns a Runner that parks jobs until released; it
 // honors cancellation/drain like the engine would (typed interruption).
-func blockingRunner() (runner func(context.Context, *sxnm.Detector, *sxnm.Document, sxnm.CheckpointFS, string) (*sxnm.Result, error), release func()) {
+func blockingRunner() (runner func(context.Context, *sxnm.Detector, io.Reader, sxnm.CheckpointFS, string) (*sxnm.Result, error), release func()) {
 	gate := make(chan struct{})
-	return func(ctx context.Context, det *sxnm.Detector, doc *sxnm.Document, fsys sxnm.CheckpointFS, dir string) (*sxnm.Result, error) {
+	return func(ctx context.Context, det *sxnm.Detector, doc io.Reader, fsys sxnm.CheckpointFS, dir string) (*sxnm.Result, error) {
 		select {
 		case <-gate:
 			return defaultRunner(ctx, det, doc, fsys, dir)
@@ -432,7 +433,7 @@ func TestRetryTransientThenSucceed(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
 		c.Workers = 1
 		c.MaxAttempts = 3
-		c.Runner = func(ctx context.Context, det *sxnm.Detector, doc *sxnm.Document, fsys sxnm.CheckpointFS, dir string) (*sxnm.Result, error) {
+		c.Runner = func(ctx context.Context, det *sxnm.Detector, doc io.Reader, fsys sxnm.CheckpointFS, dir string) (*sxnm.Result, error) {
 			calls++
 			if calls <= 2 {
 				return nil, fmt.Errorf("transient I/O glitch %d", calls)
@@ -464,7 +465,7 @@ func TestTransientExhaustedFails(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
 		c.Workers = 1
 		c.MaxAttempts = 2
-		c.Runner = func(ctx context.Context, det *sxnm.Detector, doc *sxnm.Document, fsys sxnm.CheckpointFS, dir string) (*sxnm.Result, error) {
+		c.Runner = func(ctx context.Context, det *sxnm.Detector, doc io.Reader, fsys sxnm.CheckpointFS, dir string) (*sxnm.Result, error) {
 			return nil, errors.New("disk unhappy")
 		}
 	})
@@ -528,7 +529,7 @@ func TestFailFastPaths(t *testing.T) {
 
 	t.Run("panic containment", func(t *testing.T) {
 		s := newTestServer(t, func(c *Config) {
-			c.Runner = func(ctx context.Context, det *sxnm.Detector, doc *sxnm.Document, fsys sxnm.CheckpointFS, dir string) (*sxnm.Result, error) {
+			c.Runner = func(ctx context.Context, det *sxnm.Detector, doc io.Reader, fsys sxnm.CheckpointFS, dir string) (*sxnm.Result, error) {
 				panic("engine bug")
 			}
 		})

@@ -20,7 +20,9 @@ import (
 //	<spool>/<job-id>/
 //	    job.json      the submission (written atomically at admission)
 //	    lease.json    ownership: owner id + epoch + heartbeat (lease.go)
-//	    checkpoint/   crash-safe engine checkpoint (RunCheckpointed)
+//	    checkpoint/   crash-safe engine checkpoint (RunCheckpointed, manifest
+//	                  v2): cluster sets and pass progress; no GK tables,
+//	                  which each attempt rebuilds from job.json's document
 //	    spill/        external-sort run files, pinned to the checkpoint
 //	    outcome.json  terminal state + clusters + stats (absent ⇒ not finished)
 //	    report.json   per-candidate per-pass run report (all stop paths)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/extsort"
 	"repro/internal/obs"
 	"repro/internal/runlimit"
+	"repro/internal/xmltree"
 )
 
 // Fault taxonomy. Every attempt ends in exactly one class:
@@ -29,8 +31,9 @@ import (
 //	               MaxAttempts; the checkpoint written by the failed
 //	               attempt makes each retry incremental, not a redo
 //
-// permanentError wraps faults detected by the worker itself (parse
-// failures, panics) so classification stays a single errors.As test.
+// permanentError wraps faults detected by the worker itself (an
+// invalid config, panics); a document the run's scan rejects surfaces
+// as an *xmltree.SyntaxError.
 type permanentError struct {
 	code string
 	err  error
@@ -41,9 +44,12 @@ func (e *permanentError) Unwrap() error { return e.err }
 
 func classifyPermanent(err error) (string, bool) {
 	var pe *permanentError
+	var se *xmltree.SyntaxError
 	switch {
 	case errors.As(err, &pe):
 		return pe.code, true
+	case errors.As(err, &se):
+		return "invalid-document", true
 	case errors.Is(err, sxnm.ErrCheckpointMismatch):
 		return "checkpoint-mismatch", true
 	case errors.Is(err, extsort.ErrCorrupt):
@@ -214,21 +220,14 @@ func (s *Server) runAttempt(ctx context.Context, j *job) (res *sxnm.Result, err 
 	if derr != nil {
 		return nil, &permanentError{code: "invalid-config", err: derr}
 	}
-	doc, perr := sxnm.ParseXMLWithLimits(strings.NewReader(j.req.DocumentXML), j.limits)
-	if perr != nil {
-		if runlimit.IsInterruption(perr) {
-			return nil, perr // parse-time depth/node budget breach
-		}
-		return nil, &permanentError{code: "invalid-document", err: perr}
-	}
 	runner := s.cfg.Runner
 	if runner == nil {
 		runner = defaultRunner
 	}
-	return runner(ctx, det, doc, s.cfg.CheckpointFS, s.spool.checkpointDir(j.id))
+	return runner(ctx, det, strings.NewReader(j.req.DocumentXML), s.cfg.CheckpointFS, s.spool.checkpointDir(j.id))
 }
 
-func defaultRunner(ctx context.Context, det *sxnm.Detector, doc *sxnm.Document, fsys sxnm.CheckpointFS, ckptDir string) (*sxnm.Result, error) {
+func defaultRunner(ctx context.Context, det *sxnm.Detector, doc io.Reader, fsys sxnm.CheckpointFS, ckptDir string) (*sxnm.Result, error) {
 	return det.RunCheckpointedFSContext(ctx, doc, fsys, ckptDir)
 }
 

@@ -87,7 +87,7 @@ func checkBoundSoundness(t *testing.T, a, b string, max int) {
 func FuzzBoundSoundness(f *testing.F) {
 	f.Add("", "", uint8(0))
 	f.Add("The Matrix", "The Martix", uint8(2))
-	f.Add("ABBA", "BABA", uint8(1))       // anagram: length bound is blind, histogram is not
+	f.Add("ABBA", "BABA", uint8(1)) // anagram: length bound is blind, histogram is not
 	f.Add("héllo wörld", "hello", uint8(3))
 	f.Add("12345", "54321", uint8(0))
 	f.Add("\xff\xfe", "\xef\xbf\xbd", uint8(1)) // invalid UTF-8 exercises rune replacement

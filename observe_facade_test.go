@@ -11,9 +11,9 @@ import (
 	"testing"
 )
 
-func observedDetector(t *testing.T, opts Options) (*Detector, *Document, *Collector, *TraceRing, *TraceJSONL, *bytes.Buffer) {
+func observedDetector(t *testing.T, opts Options) (*Detector, []byte, *Collector, *TraceRing, *TraceJSONL, *bytes.Buffer) {
 	t.Helper()
-	cfg, doc := checkpointCorpus(t)
+	cfg, data := checkpointCorpus(t)
 	ring := NewTraceRing(1 << 14)
 	col := NewCollector()
 	var trace bytes.Buffer
@@ -23,16 +23,12 @@ func observedDetector(t *testing.T, opts Options) (*Detector, *Document, *Collec
 	if err != nil {
 		t.Fatal(err)
 	}
-	return det, doc, col, ring, jl, &trace
+	return det, data, col, ring, jl, &trace
 }
 
 func TestFacadeObservedRun(t *testing.T) {
-	det, doc, col, _, jl, trace := observedDetector(t, Options{UseFilter: true})
-	var xml bytes.Buffer
-	if err := doc.Write(&xml, WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := det.RunReader(bytes.NewReader(xml.Bytes()))
+	det, data, col, _, jl, trace := observedDetector(t, Options{UseFilter: true})
+	res, err := det.RunReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +96,8 @@ func TestFacadeObservedRun(t *testing.T) {
 }
 
 func TestFacadeStreamRunTraced(t *testing.T) {
-	det, doc, col, ring, _, _ := observedDetector(t, Options{})
-	var xml bytes.Buffer
-	if err := doc.Write(&xml, WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := det.RunReader(bytes.NewReader(xml.Bytes())); err != nil {
+	det, data, col, ring, _, _ := observedDetector(t, Options{})
+	if _, err := det.RunReader(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	var kgStreamed bool
@@ -123,24 +115,19 @@ func TestFacadeStreamRunTraced(t *testing.T) {
 }
 
 func TestFacadeCheckpointedRunReportsResume(t *testing.T) {
-	cfg, doc := checkpointCorpus(t)
-	full, err := func() (*Result, error) {
-		det, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return det.Run(doc)
-	}()
+	cfg, data := checkpointCorpus(t)
+	plain, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := runBytes(t, plain, data)
 
 	dir := t.TempDir()
 	limited, err := NewWithOptions(cfg, Options{Limits: Limits{MaxComparisons: full.Stats.Comparisons / 3, CheckEvery: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := limited.RunCheckpointed(doc, dir); !errors.Is(err, ErrLimitExceeded) {
+	if _, err := limited.RunCheckpointed(bytes.NewReader(data), dir); !errors.Is(err, ErrLimitExceeded) {
 		t.Fatalf("want interruption, got %v", err)
 	}
 
@@ -153,7 +140,7 @@ func TestFacadeCheckpointedRunReportsResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := det.RunCheckpointed(doc, dir)
+	res, err := det.RunCheckpointed(bytes.NewReader(data), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +161,23 @@ func TestFacadeCheckpointedRunReportsResume(t *testing.T) {
 	if rep.Totals.Comparisons != int64(res.Stats.Comparisons) {
 		t.Errorf("report comparisons %d vs stats %d", rep.Totals.Comparisons, res.Stats.Comparisons)
 	}
+	// The document fingerprint comes from the run's own scan.
+	doc, err := ParseXML(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := DocumentFingerprint(doc); err != nil || rep.DocFingerprint != want {
+		t.Errorf("report doc_fingerprint %q, want the parsed tree's %q (%v)", rep.DocFingerprint, want, err)
+	}
 }
 
 func TestFingerprintExports(t *testing.T) {
-	cfg, doc := checkpointCorpus(t)
+	cfg, data := checkpointCorpus(t)
 	cfgFP, err := ConfigFingerprint(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := ParseXML(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

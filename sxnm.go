@@ -224,17 +224,29 @@ func (d *Detector) RunReader(r io.Reader) (*Result, error) {
 // Result.Incomplete set alongside the typed cause. Every error is
 // prefixed "sxnm:".
 func (d *Detector) RunReaderContext(ctx context.Context, r io.Reader) (*Result, error) {
-	res, _, err := d.runTokens(ctx, r, false)
+	res, _, err := d.runTokens(ctx, r, false, d.detect)
 	if err != nil {
 		err = fmt.Errorf("sxnm: %w", err)
 	}
 	return res, err
 }
 
-// runTokens is the reader path: one scan of r feeds the row builder
-// and, when fingerprint is set, DocumentFingerprint's hash. The scan is
-// traced as the parse phase, and key generation within it.
-func (d *Detector) runTokens(ctx context.Context, r io.Reader, fingerprint bool) (*Result, string, error) {
+// detectFunc runs the detection phase over the GK tables a scan built;
+// docFP is the scan's document fingerprint, or "" when it took none.
+type detectFunc func(ctx context.Context, kg *core.KeyGenResult, docFP string) (*Result, error)
+
+// detect is the plain detectFunc: detection with the Detector's options.
+func (d *Detector) detect(ctx context.Context, kg *core.KeyGenResult, _ string) (*Result, error) {
+	return core.DetectContext(ctx, kg, d.cfg, d.opts)
+}
+
+// runTokens is the reader path every run over a document's bytes
+// takes: one scan of r feeds the row builder and, when fingerprint is
+// set, DocumentFingerprint's hash, recorded on the parse span as
+// doc_fingerprint. Then detect runs over the tables; a scan cut short
+// returns its partial Result without calling it. The scan is traced as
+// the parse phase, and key generation within it.
+func (d *Detector) runTokens(ctx context.Context, r io.Reader, fingerprint bool, detect detectFunc) (*Result, string, error) {
 	ctx, stop := runlimit.WithTimeout(ctx, d.opts.Limits)
 	defer stop()
 	sc := xmltree.NewScanner(r, d.opts.Limits)
@@ -244,8 +256,13 @@ func (d *Detector) runTokens(ctx context.Context, r io.Reader, fingerprint bool)
 	}
 	sp := d.opts.Observer.StartSpan(obs.SpanParse, obs.Bool(obs.AttrStream, true))
 	kg, err := core.GenerateKeysScan(ctx, sc, d.cfg, d.opts.KeyGenLimits(), d.opts.Observer)
-	if err != nil {
+	var sum string
+	switch {
+	case err != nil:
 		sp.SetAttr(obs.Bool(obs.AttrInterrupted, true), obs.String(obs.AttrCause, err.Error()))
+	case fp != nil:
+		sum = fp.Sum()
+		sp.SetAttr(obs.String(obs.AttrDocFingerprint, sum))
 	}
 	sp.End()
 	if err != nil {
@@ -254,11 +271,7 @@ func (d *Detector) runTokens(ctx context.Context, r io.Reader, fingerprint bool)
 		}
 		return nil, "", err
 	}
-	var sum string
-	if fp != nil {
-		sum = fp.Sum()
-	}
-	res, err := core.DetectContext(ctx, kg, d.cfg, d.opts)
+	res, err := detect(ctx, kg, sum)
 	return res, sum, err
 }
 
@@ -291,21 +304,23 @@ func (d *Detector) runFile(ctx context.Context, path string, fingerprint bool) (
 		return nil, "", fmt.Errorf("sxnm: %w", err)
 	}
 	defer f.Close()
-	res, sum, err := d.runTokens(ctx, f, fingerprint)
+	res, sum, err := d.runTokens(ctx, f, fingerprint, d.detect)
 	if err != nil {
 		return res, sum, fmt.Errorf("sxnm: %s: %w", path, err)
 	}
 	return res, sum, nil
 }
 
-// WriteGK runs only the key generation phase over the document and
-// serializes the GK relations (the paper's temporary tables) to w, so
-// detection can later run repeatedly — e.g. sweeping windows and
-// thresholds — without re-reading the XML. Load with RunFromGK.
-func (d *Detector) WriteGK(doc *Document, w io.Writer) error {
-	kg, err := core.GenerateKeys(doc, d.cfg)
+// WriteGK runs only the key generation phase over the XML document
+// read from r, building the rows straight from its tokens under the
+// Detector's Limits, and serializes the GK relations (the paper's
+// temporary tables) to w, so detection can later run repeatedly — e.g.
+// sweeping windows and thresholds — without re-reading the XML. Load
+// with RunFromGK.
+func (d *Detector) WriteGK(r io.Reader, w io.Writer) error {
+	kg, err := core.GenerateKeysStreamContext(context.Background(), r, d.cfg, d.opts.KeyGenLimits())
 	if err != nil {
-		return err
+		return fmt.Errorf("sxnm: %w", err)
 	}
 	return core.WriteGK(w, kg)
 }
