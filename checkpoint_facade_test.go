@@ -98,6 +98,53 @@ func TestRunCheckpointedResumesInterruptedRun(t *testing.T) {
 	}
 }
 
+// TestSpillCheckpointedLeavesNoRuns checks that a pinned SpillDir
+// holds no run file after an interrupted checkpointed run, nor after
+// the run that resumes it, and that the resumed clusters are exact.
+func TestSpillCheckpointedLeavesNoRuns(t *testing.T) {
+	cfg, data := checkpointCorpus(t)
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := runBytes(t, ref, data)
+
+	ckpt, spill := t.TempDir(), t.TempDir()
+	noRuns := func(when string) {
+		t.Helper()
+		if left, _ := filepath.Glob(filepath.Join(spill, "*.run")); len(left) > 0 {
+			t.Errorf("%s: %d run file(s) left in the spill dir: %v", when, len(left), left)
+		}
+	}
+	opts := Options{SpillThresholdRows: 16, SpillDir: spill}
+	limitedOpts := opts
+	limitedOpts.Limits = Limits{MaxComparisons: full.Stats.Comparisons / 3, CheckEvery: 1}
+	limited, err := NewWithOptions(cfg, limitedOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := limited.RunCheckpointed(bytes.NewReader(data), ckpt); !errors.Is(err, ErrLimitExceeded) {
+		t.Fatalf("want ErrLimitExceeded, got %v", err)
+	}
+	noRuns("interrupted run")
+
+	ob := NewObserver()
+	opts.Observer = ob
+	det, err := NewWithOptions(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := det.RunCheckpointed(bytes.NewReader(data), ckpt)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if ob.Metrics().Snapshot().SpillRuns == 0 {
+		t.Fatal("the resumed run did not spill; the check would be vacuous")
+	}
+	noRuns("resumed run")
+	clustersEqual(t, res, full)
+}
+
 func TestResumeIsStrict(t *testing.T) {
 	cfg, data := checkpointCorpus(t)
 	det, err := New(cfg)

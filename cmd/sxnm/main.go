@@ -40,12 +40,13 @@
 // clusters, statistics, checkpoints, and reports are byte-identical
 // to the sequential, uncached run.
 //
-// Memory: -spill-rows N external-sorts any candidate with more than N
-// GK rows through checksummed run files on disk (in -spill-dir, or a
-// temp dir) instead of sorting in memory, bounding detection memory
-// for documents bigger than RAM. The spill path is answer-preserving
-// too, and with -spill-dir plus -checkpoint, sorted runs are
-// fingerprinted and reused on resume.
+// Memory: -spill-rows N external-sorts each key pass of any candidate
+// with more than N GK rows through checksummed run files on disk (in
+// -spill-dir, or a temp dir) instead of sorting in memory. Each pass
+// removes its run files when it ends. This trims the pass sort's
+// memory, not the GK tables, which key generation still builds whole,
+// and spilled runs are slower. The spill path is answer-preserving
+// too.
 //
 // Observability: -trace FILE streams a JSONL span trace of every
 // phase (-trace-max-bytes/-trace-keep add size-capped rotation for
@@ -143,8 +144,8 @@ func run(args []string) error {
 		pairWork   = fs.Int("pair-workers", -1, "window-sweep comparison goroutines per pass (-1 = all cores, 0 = sequential); results are identical either way")
 		simCache   = fs.Bool("sim-cache", false, "memoize similarity computations per candidate (identical results; helps on repetitive values and multi-key configs)")
 		simCacheN  = fs.Int("sim-cache-size", 0, "similarity cache capacity per candidate (0 = default)")
-		spillRows  = fs.Int("spill-rows", 0, "external-sort candidates with more rows than this instead of sorting in memory (0 = always in memory); results are identical either way")
-		spillDir   = fs.String("spill-dir", "", "directory for spill run files, reused across resumed runs (default: a temp dir, removed afterwards)")
+		spillRows  = fs.Int("spill-rows", 0, "external-sort the key passes of candidates with more GK rows than this (0 = always in memory); results are identical, and the GK tables stay in memory either way")
+		spillDir   = fs.String("spill-dir", "", "directory for the spill run files of the pass in flight; any run file already there is deleted (default: a temp dir, removed afterwards)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -9,8 +9,8 @@
 // /v1/jobs and poll them; see the README's "Running as a service"
 // section for the full API. The spool directory is the daemon's
 // durable state: every admitted job lives there until it reaches a
-// terminal state, together with its engine checkpoint, spill files,
-// run report, and final metrics.
+// terminal state, together with its engine checkpoint, the spill
+// scratch of the pass in flight, run report, and final metrics.
 //
 // Robustness model:
 //
@@ -115,7 +115,7 @@ func run(args []string, ready chan<- string) error {
 		pairWork  = fs.Int("pair-workers", -1, "window-sweep goroutines per job (-1 = all cores, 0 = sequential)")
 		simCache  = fs.Bool("sim-cache", true, "share similarity memo caches across jobs of the same config")
 		simSize   = fs.Int("sim-cache-size", 0, "similarity cache capacity per candidate (0 = default)")
-		spillRows = fs.Int("spill-rows", 0, "external-sort candidates above this many GK rows (0 = in-memory)")
+		spillRows = fs.Int("spill-rows", 0, "external-sort the key passes of candidates above this many GK rows through the job's spool spill/ dir, removing each pass's run files when it ends (0 = in-memory)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

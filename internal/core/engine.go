@@ -98,25 +98,25 @@ type Options struct {
 	// so a warm cache changes CPU time and the obs counters only, never
 	// results. Returning nil falls back to a fresh per-run cache.
 	SimCacheFor func(candidate string) *similarity.Cache
-	// SpillThresholdRows bounds detection memory: candidates whose GK
+	// SpillThresholdRows moves pass sorts to disk: candidates whose GK
 	// table exceeds this many rows sort each key pass with an external
 	// merge sort — bounded in-memory runs spilled to checksummed files
 	// under SpillDir, k-way merged back — and the sliding window
-	// consumes the merged stream, holding only the window extent plus
-	// merge buffers in RAM. Every observable (clusters, Stats,
-	// checkpoints, PairObserver calls, interrupted partial results) is
-	// byte-identical to the in-memory path; the differential suite in
-	// internal/core proves it. 0 (the zero value) keeps every pass
-	// fully in memory — the paper's behavior, unchanged. When set, the
-	// MaxRows limit degrades from a hard cap to an advisory (the run
-	// spills instead of failing; see Limits.SpillRows).
+	// consumes the merged stream. That bounds the pass sort's order
+	// slice and the value sketches, not the run: key generation still
+	// builds every GK table whole in memory, so resident memory still
+	// grows with the input (DESIGN.md §12 has the measurements). Each
+	// pass removes its own run files when it ends. Every observable
+	// (clusters, Stats, checkpoints, PairObserver calls, interrupted
+	// partial results) is byte-identical to the in-memory path; the
+	// differential suite in internal/core proves it. 0 (the zero value)
+	// keeps every pass fully in memory — the paper's behavior. Limits
+	// apply unchanged, MaxRows included.
 	SpillThresholdRows int
-	// SpillDir receives the run files and their manifest. Runs written
-	// there are fingerprinted against the GK table content and reused
-	// by later runs over the same data (e.g. a checkpoint resume) — the
-	// sort and write are skipped, the checksummed files re-verified
-	// while streaming. Empty means a private temp directory, removed
-	// when the run ends.
+	// SpillDir receives the run files of the pass in flight. Empty
+	// means a private temp directory, removed when the run ends. A
+	// SpillDir serves one run at a time: a run's first spill deletes
+	// every run file it finds there as a killed process's leftover.
 	SpillDir string
 	// SpillFS, when non-nil, replaces the real filesystem under the
 	// spill layer — the fault-injection hook for torn-write/short-read
@@ -217,7 +217,7 @@ func Run(doc *xmltree.Document, cfg *config.Config, opts Options) (*Result, erro
 func RunContext(ctx context.Context, doc *xmltree.Document, cfg *config.Config, opts Options) (*Result, error) {
 	ctx, stop := runlimit.WithTimeout(ctx, opts.Limits)
 	defer stop()
-	kg, err := GenerateKeysObserved(ctx, doc, cfg, opts.KeyGenLimits(), opts.Observer)
+	kg, err := GenerateKeysObserved(ctx, doc, cfg, opts.Limits, opts.Observer)
 	if err != nil {
 		if isInterruption(err) {
 			return PartialFromKeyGen(kg, err), err
@@ -225,20 +225,6 @@ func RunContext(ctx context.Context, doc *xmltree.Document, cfg *config.Config, 
 		return nil, err
 	}
 	return DetectContext(ctx, kg, cfg, opts)
-}
-
-// KeyGenLimits returns opts.Limits adjusted for the spill path: with
-// an explicit spill threshold configured, MaxRows stops being a hard
-// cap during key generation — detection memory is bounded by spilling,
-// so the run carries on past the limit instead of failing. Callers
-// that run key generation themselves (the streaming facade) should
-// pass this instead of Options.Limits.
-func (o Options) KeyGenLimits() Limits {
-	l := o.Limits
-	if o.SpillThresholdRows > 0 {
-		l.SpillRows = true
-	}
-	return l
 }
 
 // Detect executes the duplicate detection phase over previously
@@ -266,8 +252,7 @@ func DetectContext(ctx context.Context, kg *KeyGenResult, cfg *config.Config, op
 
 	// The smallspill build tag forces a tiny threshold so the whole
 	// test suite exercises the spill path; an explicit caller choice
-	// always wins. Detection-only: key generation limits are not
-	// retroactively waived by the forced value.
+	// always wins.
 	if opts.SpillThresholdRows == 0 && forcedSpillThreshold > 0 {
 		opts.SpillThresholdRows = forcedSpillThreshold
 	}
@@ -482,7 +467,7 @@ func detectCandidate(bud *budget, t *GKTable, clusters map[string]*cluster.Clust
 	swStart := time.Now()
 	useDesc := cand.DescendantsEnabled() && !opts.DisableDescendants
 
-	// Memory-bounded path: a table larger than the spill threshold
+	// External-sort path: a table larger than the spill threshold
 	// sorts each pass externally and streams the rows in; descendant
 	// resolution then happens per decoded row instead of across the
 	// resident table (same function, same results).

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -21,12 +20,13 @@ import (
 	"repro/internal/similarity"
 )
 
-// This file is the memory-bounded GK backend: candidates whose tables
-// exceed Options.SpillThresholdRows sort each key pass with an
-// external merge sort (internal/extsort) and stream the merged rows
-// into the sliding window, so the sort working set is bounded by the
-// threshold and the window only ever holds its own extent of decoded
-// rows. The comparator, the enumeration order, and the decoded rows
+// This file is the external pass sort: candidates whose tables exceed
+// Options.SpillThresholdRows sort each key pass with an external merge
+// sort (internal/extsort) and stream the merged rows into the sliding
+// window, so the sort working set is bounded by the threshold and the
+// window only ever holds its own extent of decoded rows (the GK table
+// itself stays resident). A pass's run files are its own scratch,
+// removed when its stream closes. The comparator, the enumeration order, and the decoded rows
 // are exactly those of the in-memory path, which is what makes the
 // differential suite's byte-identical claim hold.
 
@@ -115,8 +115,7 @@ var errMalformedRow = errors.New("malformed spilled GK row")
 // and injective over the row's observable fields: everything is
 // length-prefixed, integers are zig-zag varints, and the descendant
 // map is written in strictly increasing name order — equal rows encode
-// to equal bytes and distinct rows to distinct bytes, which is what
-// makes run-file fingerprints trustworthy across processes.
+// to equal bytes and distinct rows to distinct bytes.
 func appendGKRow(dst []byte, r *GKRow) []byte {
 	dst = binary.AppendVarint(dst, int64(r.EID))
 	dst = binary.AppendUvarint(dst, uint64(len(r.Keys)))
@@ -265,30 +264,9 @@ func decodeGKRow(p []byte) (*GKRow, error) {
 	return r, nil
 }
 
-// spillManifestName is the per-SpillDir index of reusable run files.
-const spillManifestName = "spill-manifest.json"
-
-// spillEntry records one (candidate, pass) external sort: the table
-// fingerprint the runs were built from and the run files themselves.
-// A later run with a matching fingerprint reuses the files (their
-// checksums and footers are still verified while streaming) instead
-// of re-sorting and re-writing.
-type spillEntry struct {
-	Candidate   string            `json:"candidate"`
-	Pass        int               `json:"pass"`
-	Rows        int               `json:"rows"`
-	Fingerprint string            `json:"fingerprint"`
-	Runs        []extsort.RunFile `json:"runs"`
-}
-
-type spillManifest struct {
-	Version int                    `json:"version"`
-	Entries map[string]*spillEntry `json:"entries"`
-}
-
 // spillState is the run-level spill context shared by all candidates:
 // the directory (a private temp dir unless Options.SpillDir pins one),
-// the filesystem, the manifest, and the obs counters. The manifest is
+// the filesystem, and the obs counters. The directory fields are
 // mutex-guarded, so the state is safe to share across goroutines.
 type spillState struct {
 	threshold int
@@ -300,7 +278,6 @@ type spillState struct {
 	temp    bool
 	ready   bool
 	initErr error
-	man     spillManifest
 }
 
 func newSpillState(opts Options, m *obs.Metrics) *spillState {
@@ -311,9 +288,9 @@ func newSpillState(opts Options, m *obs.Metrics) *spillState {
 	return &spillState{threshold: opts.SpillThresholdRows, fs: fs, m: m, dir: opts.SpillDir}
 }
 
-// ensure lazily creates the spill directory and loads the manifest the
-// first time any candidate actually spills, so runs whose tables all
-// fit under the threshold touch no disk at all.
+// ensure lazily creates the spill directory the first time any
+// candidate actually spills, so runs whose tables all fit under the
+// threshold touch no disk at all.
 func (st *spillState) ensure() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -333,19 +310,18 @@ func (st *spillState) ensure() error {
 		st.initErr = fmt.Errorf("create spill dir %s: %w", st.dir, err)
 		return st.initErr
 	}
-	st.man = loadSpillManifest(st.fs, st.dir)
 	st.sweepOrphans()
 	st.ready = true
 	return nil
 }
 
-// sweepOrphans removes run files in the spill directory that no
-// manifest entry references — the leftovers of a process that was
-// killed mid-sort, before its runs were recorded for reuse. Runs only
-// when the filesystem can list directories (the real one can); called
-// once per run, before this process writes any file, so it can never
-// race with live sorts. Best-effort: a failed removal costs disk, not
-// correctness.
+// sweepOrphans removes every run file in the spill directory. Each
+// pass removes its own runs when its stream closes, so a run file found
+// before this run has written any is a leftover of a process that was
+// killed mid-pass. Runs only when the filesystem can list directories
+// (the real one can); called once per run, before this run writes any
+// file, so it never races with its own sorts. Best-effort: a failed
+// removal costs disk, not correctness.
 func (st *spillState) sweepOrphans() {
 	ls, ok := st.fs.(extsort.DirLister)
 	if !ok {
@@ -355,25 +331,15 @@ func (st *spillState) sweepOrphans() {
 	if err != nil {
 		return
 	}
-	referenced := make(map[string]struct{})
-	for _, ent := range st.man.Entries {
-		for _, rf := range ent.Runs {
-			referenced[rf.Name] = struct{}{}
-		}
-	}
 	for _, name := range names {
-		if !strings.HasSuffix(name, ".run") {
-			continue
+		if strings.HasSuffix(name, ".run") {
+			_ = st.fs.Remove(filepath.Join(st.dir, name))
 		}
-		if _, ok := referenced[name]; ok {
-			continue
-		}
-		_ = st.fs.Remove(filepath.Join(st.dir, name))
 	}
 }
 
 // cleanup removes a private temp spill directory; a caller-provided
-// SpillDir is kept so its fingerprinted runs survive for reuse.
+// SpillDir is kept (empty of run files, which each pass removes).
 func (st *spillState) cleanup() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -382,58 +348,9 @@ func (st *spillState) cleanup() {
 	}
 }
 
-func (st *spillState) lookup(key string) *spillEntry {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.man.Entries[key]
-}
-
-// record stores an entry and rewrites the manifest. Persisting is
-// best-effort: a failed write only costs reuse on the next run (the
-// load path discards anything that does not parse), never correctness.
-func (st *spillState) record(key string, ent *spillEntry) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.man.Entries == nil {
-		st.man.Entries = make(map[string]*spillEntry)
-	}
-	st.man.Version = 1
-	st.man.Entries[key] = ent
-	data, err := json.Marshal(&st.man)
-	if err != nil {
-		return
-	}
-	f, err := st.fs.Create(filepath.Join(st.dir, spillManifestName))
-	if err != nil {
-		return
-	}
-	_, werr := f.Write(data)
-	cerr := f.Close()
-	_ = werr
-	_ = cerr
-}
-
-func loadSpillManifest(fs extsort.FS, dir string) spillManifest {
-	var man spillManifest
-	f, err := fs.Open(filepath.Join(dir, spillManifestName))
-	if err != nil {
-		return spillManifest{}
-	}
-	data, err := io.ReadAll(f)
-	f.Close()
-	if err != nil {
-		return spillManifest{}
-	}
-	if json.Unmarshal(data, &man) != nil || man.Version != 1 {
-		return spillManifest{}
-	}
-	return man
-}
-
 // candSpiller binds one candidate's table to the run-level spill
 // state: the codec (with its decode-time validation and descendant
-// resolution), the stable file prefix, and the memoized table
-// fingerprint shared by all of the candidate's passes.
+// resolution) and the file prefix of the candidate's runs.
 type candSpiller struct {
 	st      *spillState
 	t       *GKTable
@@ -443,11 +360,9 @@ type candSpiller struct {
 	nKeys   int
 	nOD     int
 	prefix  string
-	fp      string
 	// sketch re-derives the fast-path value sketches per decoded row
 	// (set when the run uses the threshold-aware filter); sketches are
-	// detection-time state like the descendant lists, never serialized, so
-	// spill fingerprints are unaffected.
+	// detection-time state like the descendant lists, never serialized.
 	sketch bool
 }
 
@@ -464,27 +379,6 @@ func newCandSpiller(st *spillState, t *GKTable, useDesc bool, clusters map[strin
 		nOD:    len(t.fields),
 		prefix: fmt.Sprintf("c%016x", h.Sum64()),
 	}
-}
-
-// fingerprint hashes the candidate's encoded rows in table order. The
-// encoding is injective, so a fingerprint match means the run files on
-// disk were built from byte-identical row content — pass order is
-// irrelevant (runs differ per pass only in sort order, and each pass
-// has its own manifest key).
-func (c *candSpiller) fingerprint() string {
-	if c.fp == "" {
-		h := fnv.New64a()
-		var scratch []byte
-		var frame [binary.MaxVarintLen64]byte
-		for i := range c.t.Rows {
-			scratch = appendGKRow(scratch[:0], &c.t.Rows[i])
-			n := binary.PutUvarint(frame[:], uint64(len(scratch)))
-			h.Write(frame[:n])
-			h.Write(scratch)
-		}
-		c.fp = fmt.Sprintf("%016x", h.Sum64())
-	}
-	return c.fp
 }
 
 // decodeRow rebuilds a streamed row and re-derives the detection-time
@@ -525,9 +419,9 @@ func (c *candSpiller) config(pass int) extsort.Config[*GKRow] {
 	}
 }
 
-// source externally sorts one key pass (or reuses fingerprinted runs
-// from an earlier process) and returns the merged row stream. Spill
-// work is accounted to obs metrics and a spill span only — Stats never
+// source externally sorts one key pass and returns the merged row
+// stream; closing the stream removes the pass's run files. Spill work
+// is accounted to obs metrics and a spill span only — Stats never
 // sees it, keeping spilled and in-memory Stats byte-identical.
 func (c *candSpiller) source(pass int, parent *obs.Span, bud *budget) (rowSource, error) {
 	wrap := func(err error) error {
@@ -537,83 +431,54 @@ func (c *candSpiller) source(pass int, parent *obs.Span, bud *budget) (rowSource
 	if err := c.st.ensure(); err != nil {
 		return nil, wrap(err)
 	}
-	cfg := c.config(pass)
-	key := fmt.Sprintf("%s/p%d", c.prefix, pass)
-	fp := c.fingerprint()
-
-	var it *extsort.Iterator[*GKRow]
-	var runs []extsort.RunFile
-	reused := false
-	if ent := c.st.lookup(key); ent != nil && ent.Fingerprint == fp && ent.Rows == len(c.t.Rows) {
-		// Open-time failures (missing or stale files) fall back to a
-		// fresh sort; corruption discovered while streaming, after this
-		// point, is a hard typed error like any other read.
-		if m, err := extsort.MergeRuns(cfg, ent.Runs); err == nil {
-			it, runs, reused = m, ent.Runs, true
-		}
+	srt, err := extsort.New(c.config(pass))
+	if err != nil {
+		return nil, wrap(err)
 	}
-	if it == nil {
-		srt, err := extsort.New(cfg)
-		if err != nil {
-			return nil, wrap(err)
-		}
-		for i := range c.t.Rows {
-			// The sort spills to disk as it goes; poll so deadlines and
-			// cancellation interrupt it at the usual cadence. The cause
-			// is returned bare — the caller turns it into the same
-			// graceful interruption as a budget breach in the pair loop.
-			// Either way the abandoned sort's partial run files are
-			// removed: they were never recorded in the manifest, so
-			// nothing could ever reuse them.
-			if bud != nil {
-				if err := bud.poll(i + 1); err != nil {
-					srt.Discard()
-					return nil, err
-				}
-			}
-			if err := srt.Add(&c.t.Rows[i]); err != nil {
+	for i := range c.t.Rows {
+		// The sort spills to disk as it goes; poll so deadlines and
+		// cancellation interrupt it at the usual cadence. The cause is
+		// returned bare — the caller turns it into the same graceful
+		// interruption as a budget breach in the pair loop. Either way
+		// the abandoned sort's partial run files are removed.
+		if bud != nil {
+			if err := bud.poll(i + 1); err != nil {
 				srt.Discard()
-				return nil, wrap(err)
+				return nil, err
 			}
 		}
-		it, runs, err = srt.Merge()
-		if err != nil {
+		if err := srt.Add(&c.t.Rows[i]); err != nil {
 			srt.Discard()
 			return nil, wrap(err)
 		}
-		c.st.record(key, &spillEntry{
-			Candidate: c.t.Candidate.Name, Pass: pass, Rows: len(c.t.Rows),
-			Fingerprint: fp, Runs: runs,
-		})
 	}
-	var bytes int64
-	for _, r := range runs {
-		bytes += r.Bytes
+	it, err := srt.Merge()
+	if err != nil {
+		srt.Discard()
+		return nil, wrap(err)
 	}
+	ss := srt.Stats()
 	if m := c.st.m; m != nil {
-		if reused {
-			m.SpillRunsReused.Add(int64(len(runs)))
-		} else {
-			m.SpillRuns.Add(int64(len(runs)))
-			m.SpillBytesWritten.Add(bytes)
-		}
+		m.SpillRuns.Add(int64(ss.RunsWritten))
+		m.SpillBytesWritten.Add(ss.BytesWritten)
 		m.SpillWallNanos.Add(int64(time.Since(start)))
 	}
 	if sp := parent.Child(obs.SpanSpill,
 		obs.String(obs.AttrCandidate, c.t.Candidate.Name),
 		obs.Int(obs.AttrPass, pass),
-		obs.Int(obs.AttrSpillRuns, len(runs)),
-		obs.Int64(obs.AttrSpillBytes, bytes),
-		obs.Bool(obs.AttrSpillReused, reused)); sp != nil {
+		obs.Int(obs.AttrSpillRuns, ss.RunsWritten),
+		obs.Int64(obs.AttrSpillBytes, ss.BytesWritten)); sp != nil {
 		sp.End()
 	}
-	return &spillSource{c: c, it: it}, nil
+	return &spillSource{c: c, srt: srt, it: it}, nil
 }
 
 // spillSource adapts the merge iterator to rowSource, wrapping errors
-// with the candidate and flushing read-byte counts on close.
+// with the candidate, and on close flushes read-byte counts and
+// removes the pass's run files.
 type spillSource struct {
 	c      *candSpiller
+	srt    *extsort.Sorter[*GKRow]
 	it     *extsort.Iterator[*GKRow]
 	closed bool
 }
@@ -629,6 +494,10 @@ func (s *spillSource) next() (*GKRow, error) {
 	return r, nil
 }
 
+// close ends the pass's spill: every exit of the pass loop (its end,
+// an interruption, a mid-stream error) calls it, so no run file
+// outlives its pass. Removal is best-effort — a failed removal costs
+// disk until the next run's orphan sweep, never correctness.
 func (s *spillSource) close() error {
 	if s.closed {
 		return nil
@@ -637,5 +506,7 @@ func (s *spillSource) close() error {
 	if m := s.c.st.m; m != nil {
 		m.SpillBytesRead.Add(s.it.BytesRead())
 	}
-	return s.it.Close()
+	err := s.it.Close()
+	s.srt.Discard()
+	return err
 }

@@ -71,8 +71,8 @@ func fuzzRow(data []byte) *GKRow {
 }
 
 // FuzzSpillRowCodec drives the spill row codec with arbitrary bytes,
-// checking the three properties the fingerprint-and-reuse design rests
-// on: encode∘decode is the identity on canonical rows, the encoding is
+// checking the three properties a spilled row's trip through a run
+// file rests on: encode∘decode is the identity on canonical rows, the encoding is
 // injective (split the input in two — distinct rows must encode to
 // distinct bytes), and decode never panics or over-reads on arbitrary
 // input.
@@ -93,8 +93,8 @@ func FuzzSpillRowCodec(f *testing.F) {
 			t.Fatalf("round trip changed the row:\nin  %+v\nout %+v", ra, back)
 		}
 
-		// Injectivity: distinct rows never collide — this is what lets a
-		// fingerprint match stand in for byte-identical table content.
+		// Injectivity: distinct rows never collide, so no two rows can
+		// come back from a run file as one another.
 		encB := appendGKRow(nil, rb)
 		if bytes.Equal(enc, encB) && !reflect.DeepEqual(ra, rb) {
 			t.Fatalf("distinct rows encode identically:\n%+v\n%+v", ra, rb)
@@ -103,7 +103,7 @@ func FuzzSpillRowCodec(f *testing.F) {
 		// Robustness: arbitrary bytes must decode or error, never panic.
 		// (Go's varint reader accepts non-minimal forms, so an accepted
 		// decode of arbitrary bytes need not re-encode byte-identically;
-		// fingerprints only ever hash encoder-produced bytes.)
+		// run files only ever hold encoder-produced bytes.)
 		if r, err := decodeGKRow(a); err == nil {
 			if re := appendGKRow(nil, r); len(re) > len(a) {
 				t.Fatalf("re-encoding %x of accepted input %x grew", re, a)

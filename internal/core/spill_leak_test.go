@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -15,46 +15,22 @@ import (
 	"repro/internal/extsort"
 )
 
-// Satellite invariant: an interrupted spilled run must not leak run
-// files. Run files are only kept when the manifest references them
-// (pinned SpillDir reuse); everything else — partial sorts abandoned
-// by a budget breach or cancellation, leftovers of a killed process —
-// must be gone after the run (Sorter.Discard on the abandon paths)
-// or after the next run over the directory (ensure-time orphan sweep).
+// A spill run file is the scratch of one key pass: the pass removes
+// its runs when its stream closes (at its end, on an interruption, on
+// an error), and an abandoned sort discards the runs it wrote. So no
+// run file outlives its pass, and a pinned SpillDir holds none after
+// any run. Leftovers of a killed process are swept by the next run
+// over the directory.
 
-// orphanRuns returns the .run files in dir that no manifest entry
-// references — the definition of a leak.
-func orphanRuns(t *testing.T, dir string) []string {
+// runFiles returns the .run files in dir — after a run, any one of
+// them is a leak.
+func runFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	referenced := make(map[string]struct{})
-	if data, err := os.ReadFile(filepath.Join(dir, spillManifestName)); err == nil {
-		var man spillManifest
-		if err := json.Unmarshal(data, &man); err != nil {
-			t.Fatalf("manifest does not parse: %v", err)
-		}
-		for _, ent := range man.Entries {
-			for _, rf := range ent.Runs {
-				referenced[rf.Name] = struct{}{}
-			}
-		}
-	}
-	ents, err := os.ReadDir(dir)
+	runs, err := filepath.Glob(filepath.Join(dir, "*.run"))
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
 		t.Fatal(err)
 	}
-	var orphans []string
-	for _, ent := range ents {
-		name := ent.Name()
-		if strings.HasSuffix(name, ".run") {
-			if _, ok := referenced[name]; !ok {
-				orphans = append(orphans, name)
-			}
-		}
-	}
-	return orphans
+	return runs
 }
 
 func spillLeakFixture(t *testing.T) (*KeyGenResult, *config.Config) {
@@ -92,8 +68,7 @@ func (f *failAfterFS) Create(name string) (io.WriteCloser, error) {
 }
 
 // A sort abandoned after writing some of its run files must discard
-// them: they were never recorded in the manifest, so leaving them
-// behind would leak disk on every interrupted job.
+// them, or every interrupted job would leak disk.
 func TestSpillNoLeakOnAbandonedSort(t *testing.T) {
 	kg, cfg := spillLeakFixture(t)
 	dir := t.TempDir()
@@ -109,14 +84,14 @@ func TestSpillNoLeakOnAbandonedSort(t *testing.T) {
 	if fs.created < 4 {
 		t.Fatalf("fixture too small: only %d creates before the injected failure", fs.created)
 	}
-	if orphans := orphanRuns(t, dir); len(orphans) > 0 {
-		t.Errorf("abandoned sort leaked %d run file(s): %v", len(orphans), orphans)
+	if left := runFiles(t, dir); len(left) > 0 {
+		t.Errorf("abandoned sort leaked %d run file(s): %v", len(left), left)
 	}
 }
 
-// A run interrupted by its comparison budget mid-stream — after some
-// sorts completed and were recorded — keeps exactly the recorded runs
-// (they are the resume currency) and nothing else.
+// A run interrupted by its comparison budget mid-stream, after some
+// passes completed, leaves no run file: the interrupted pass removes
+// its runs as it stops.
 func TestSpillNoLeakOnBudgetInterrupt(t *testing.T) {
 	kg, cfg := spillLeakFixture(t)
 	dir := t.TempDir()
@@ -131,14 +106,13 @@ func TestSpillNoLeakOnBudgetInterrupt(t *testing.T) {
 	if res == nil || res.Incomplete == nil {
 		t.Fatal("interrupted run returned no partial result")
 	}
-	if orphans := orphanRuns(t, dir); len(orphans) > 0 {
-		t.Errorf("budget-interrupted run leaked %d run file(s): %v", len(orphans), orphans)
+	if left := runFiles(t, dir); len(left) > 0 {
+		t.Errorf("budget-interrupted run leaked %d run file(s): %v", len(left), left)
 	}
 }
 
-// Leftovers of a process killed mid-sort — run files present on disk
-// but absent from the manifest — are swept when the next run touches
-// the directory. Non-run files are never touched.
+// Leftovers of a process killed mid-pass are swept when the next run
+// spills into the directory. Non-run files are never touched.
 func TestSpillSweepsCrashOrphans(t *testing.T) {
 	kg, cfg := spillLeakFixture(t)
 	dir := t.TempDir()
@@ -162,7 +136,71 @@ func TestSpillSweepsCrashOrphans(t *testing.T) {
 	if _, err := os.Stat(bystander); err != nil {
 		t.Errorf("sweep touched a non-run file: %v", err)
 	}
-	if orphans := orphanRuns(t, dir); len(orphans) > 0 {
-		t.Errorf("completed run left %d orphan(s): %v", len(orphans), orphans)
+	if left := runFiles(t, dir); len(left) > 0 {
+		t.Errorf("completed run left %d run file(s): %v", len(left), left)
+	}
+}
+
+// passFS tracks the run files alive on disk and records a violation
+// whenever a run is created while another (candidate, pass)'s runs
+// still exist — the one-pass lifetime, observed at the FS seam.
+type passFS struct {
+	extsort.FS
+	live       map[string]string // path -> pass prefix
+	passes     map[string]bool
+	violations []string
+}
+
+// passOf is a run file's (candidate, pass) prefix: <c…>-p<k> before
+// the -r<N>.run suffix extsort appends.
+func passOf(name string) string {
+	base := filepath.Base(name)
+	return base[:strings.LastIndex(base, "-r")]
+}
+
+func (f *passFS) Create(name string) (io.WriteCloser, error) {
+	if strings.HasSuffix(name, ".run") {
+		p := passOf(name)
+		for other, q := range f.live {
+			if q != p {
+				f.violations = append(f.violations, fmt.Sprintf("%s created while %s is on disk", filepath.Base(name), filepath.Base(other)))
+			}
+		}
+		f.live[name] = p
+		f.passes[p] = true
+	}
+	return f.FS.Create(name)
+}
+
+func (f *passFS) Remove(name string) error {
+	delete(f.live, name)
+	return f.FS.Remove(name)
+}
+
+// TestSpillRunsLiveForOnePass drives a multi-candidate, multi-pass run
+// through a pinned SpillDir: pass p's runs must be removed before pass
+// p+1 creates its first run, and the directory must end empty of runs.
+func TestSpillRunsLiveForOnePass(t *testing.T) {
+	kg, cfg := spillLeakFixture(t)
+	dir := t.TempDir()
+	fs := &passFS{FS: extsort.OSFS(), live: map[string]string{}, passes: map[string]bool{}}
+	if _, err := DetectContext(context.Background(), kg, cfg, Options{
+		SpillThresholdRows: 7,
+		SpillDir:           dir,
+		SpillFS:            fs,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(fs.passes) < 2 {
+		t.Fatalf("fixture spilled %d pass(es); the lifetime check needs several", len(fs.passes))
+	}
+	for _, v := range fs.violations {
+		t.Error(v)
+	}
+	if len(fs.live) > 0 {
+		t.Errorf("%d run file(s) never removed", len(fs.live))
+	}
+	if left := runFiles(t, dir); len(left) > 0 {
+		t.Errorf("completed run left %d run file(s): %v", len(left), left)
 	}
 }

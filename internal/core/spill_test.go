@@ -137,7 +137,7 @@ func TestSpillSortMatchesStableSort(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		it, _, err := s.Merge()
+		it, err := s.Merge()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,130 +241,45 @@ func TestSpillDifferentialInterrupted(t *testing.T) {
 	}
 }
 
-// TestSpillRunReuse proves the checkpoint story: with a pinned SpillDir
-// a second run over the same keys reuses the fingerprinted run files
-// (verified while streaming) instead of re-sorting, and still produces
-// the identical result.
-func TestSpillRunReuse(t *testing.T) {
-	doc := freedb.Generate(freedb.DefaultOptions(40, 3))
-	cfg := mustValidate(t, cdConfig())
-	kg, err := GenerateKeys(doc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	detect := func() (*Result, obs.Snapshot) {
-		ob := obs.New()
-		res, err := Detect(kg, cfg, Options{
-			SpillThresholdRows: 1,
-			SpillDir:           dir,
-			Observer:           ob,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, ob.Metrics().Snapshot()
-	}
-	first, m1 := detect()
-	if m1.SpillRuns == 0 || m1.SpillBytesWritten == 0 {
-		t.Fatalf("first run did not spill: %+v", m1)
-	}
-	if m1.SpillRunsReused != 0 {
-		t.Fatalf("first run cannot reuse anything, reused %d runs", m1.SpillRunsReused)
-	}
-	second, m2 := detect()
-	if m2.SpillRunsReused == 0 {
-		t.Fatalf("second run over the same dir reused nothing: %+v", m2)
-	}
-	if m2.SpillRuns != 0 || m2.SpillBytesWritten != 0 {
-		t.Fatalf("second run re-sorted despite a full manifest: %+v", m2)
-	}
-	if m2.SpillBytesRead == 0 {
-		t.Fatal("reused runs were not read back")
-	}
-	for name, cs := range first.Clusters {
-		if second.Clusters[name].String() != cs.String() {
-			t.Errorf("candidate %q: reused-run clusters diverge", name)
-		}
-	}
-	if got, want := normalizeStats(second.Stats), normalizeStats(first.Stats); got != want {
-		t.Errorf("reused-run Stats diverge:\nfirst:\n%s\nsecond:\n%s", want, got)
-	}
-}
-
-// TestSpillFingerprintMismatchResorts makes sure reuse is conservative:
-// different row content under the same SpillDir must re-sort, not adopt
-// the stale runs.
-func TestSpillFingerprintMismatchResorts(t *testing.T) {
-	cfg := mustValidate(t, cdConfig())
-	dir := t.TempDir()
-	detect := func(seed int64) (*Result, obs.Snapshot) {
-		doc := freedb.Generate(freedb.DefaultOptions(40, seed))
-		kg, err := GenerateKeys(doc, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ob := obs.New()
-		res, err := Detect(kg, cfg, Options{
-			SpillThresholdRows: 1, SpillDir: dir, Observer: ob,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, ob.Metrics().Snapshot()
-	}
-	detect(3)
-	res, m := detect(4) // different corpus, same dir
-	if m.SpillRunsReused != 0 {
-		t.Fatalf("reused %d runs across different row content", m.SpillRunsReused)
-	}
-	if m.SpillRuns == 0 {
-		t.Fatal("second corpus did not spill at all")
-	}
-	// And the result matches a cleanly spilled run of the same corpus.
-	doc := freedb.Generate(freedb.DefaultOptions(40, 4))
-	kg, err := GenerateKeys(doc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := Detect(kg, cfg, Options{SpillThresholdRows: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, cs := range clean.Clusters {
-		if res.Clusters[name].String() != cs.String() {
-			t.Errorf("candidate %q: clusters diverge after fingerprint mismatch", name)
-		}
-	}
-}
-
-// TestSpillWaivesMaxRows checks the limit downgrade: a table past
-// MaxRows fails hard without a spill path and carries on with one.
-func TestSpillWaivesMaxRows(t *testing.T) {
+// TestSpillKeepsMaxRows checks that a spill threshold leaves MaxRows a
+// hard cap: a table past it fails the run with the same max-rows
+// LimitError and the same partial Result as without spill.
+func TestSpillKeepsMaxRows(t *testing.T) {
 	doc := freedb.Generate(freedb.DefaultOptions(50, 3))
 	cfg := mustValidate(t, cdConfig())
-
-	_, err := RunContext(context.Background(), doc, cfg, Options{Limits: Limits{MaxRows: 10}})
-	var le *LimitError
-	if !errors.As(err, &le) || le.Limit != "max-rows" {
-		t.Fatalf("without spill: want max-rows LimitError, got %v", err)
+	run := func(threshold int) (*Result, *LimitError) {
+		t.Helper()
+		res, err := RunContext(context.Background(), doc, cfg, Options{
+			Limits:             Limits{MaxRows: 10},
+			SpillThresholdRows: threshold,
+		})
+		var le *LimitError
+		if !errors.As(err, &le) || le.Limit != "max-rows" {
+			t.Fatalf("spill=%d: want max-rows LimitError, got %v", threshold, err)
+		}
+		if res == nil || res.Incomplete == nil {
+			t.Fatalf("spill=%d: no partial result", threshold)
+		}
+		return res, le
 	}
-
-	res, err := RunContext(context.Background(), doc, cfg, Options{
-		Limits:             Limits{MaxRows: 10},
-		SpillThresholdRows: 16,
-	})
-	if err != nil {
-		t.Fatalf("with spill: MaxRows should be waived, got %v", err)
-	}
-	// The spilled run matches the unlimited one.
-	want, err := RunContext(context.Background(), doc, cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, cs := range want.Clusters {
-		if res.Clusters[name].String() != cs.String() {
-			t.Errorf("candidate %q: clusters diverge under waived MaxRows", name)
+	want, wantLE := run(0)
+	for _, threshold := range []int{1, 16} {
+		got, gotLE := run(threshold)
+		if *gotLE != *wantLE {
+			t.Errorf("spill=%d: LimitError %+v, want %+v", threshold, *gotLE, *wantLE)
+		}
+		wi, gi := *want.Incomplete, *got.Incomplete
+		wi.Cause, gi.Cause = nil, nil
+		if !reflect.DeepEqual(gi, wi) {
+			t.Errorf("spill=%d: Incomplete %+v, want %+v", threshold, gi, wi)
+		}
+		if len(got.Clusters) != len(want.Clusters) {
+			t.Errorf("spill=%d: %d partial cluster sets, want %d", threshold, len(got.Clusters), len(want.Clusters))
+		}
+		for name, cs := range want.Clusters {
+			if g := got.Clusters[name]; g == nil || g.String() != cs.String() {
+				t.Errorf("spill=%d: candidate %q: partial clusters diverge", threshold, name)
+			}
 		}
 	}
 }

@@ -26,8 +26,8 @@ import (
 // answer-preserving (identical clusters and counters), so reproduced
 // accuracy figures are unaffected — only the timing columns of the
 // scalability experiments change meaning (wall clock vs. single-core).
-// SpillThresholdRows and SpillDir bound detection memory by
-// external-sorting oversized candidates to disk; the spill path is
+// SpillThresholdRows and SpillDir move the pass sorts of oversized
+// candidates to disk (the GK tables stay in memory); the spill path is
 // answer-preserving too.
 type RunEnv struct {
 	Ctx                context.Context

@@ -132,17 +132,6 @@ func (c *Config[T]) normalize() error {
 	return nil
 }
 
-// RunFile describes one written run, as recorded in spill manifests.
-// Name is relative to Config.Dir so directories can move between
-// processes; Records, CRC, and Bytes are cross-checked against the
-// file's own footer when the run is read back.
-type RunFile struct {
-	Name    string `json:"name"`
-	Records int64  `json:"records"`
-	CRC     uint32 `json:"crc"`
-	Bytes   int64  `json:"bytes"`
-}
-
 // Stats counts a Sorter's spill work.
 type Stats struct {
 	RunsWritten  int
@@ -156,7 +145,7 @@ type Sorter[T any] struct {
 	cfg     Config[T]
 	buf     []T
 	scratch []byte
-	runs    []RunFile
+	runs    []string // run file names, relative to cfg.Dir
 	stats   Stats
 	err     error
 }
@@ -189,33 +178,36 @@ func (s *Sorter[T]) Add(rec T) error {
 func (s *Sorter[T]) spill() error {
 	sort.Slice(s.buf, func(i, j int) bool { return s.cfg.Less(s.buf[i], s.buf[j]) })
 	name := fmt.Sprintf("%s-r%04d.run", s.cfg.Prefix, len(s.runs))
-	rf, err := s.writeRun(name)
+	bytes, err := s.writeRun(name)
 	if err != nil {
 		s.err = err
 		return err
 	}
-	s.runs = append(s.runs, rf)
+	s.runs = append(s.runs, name)
 	s.stats.RunsWritten++
-	s.stats.Records += rf.Records
-	s.stats.BytesWritten += rf.Bytes
+	s.stats.Records += int64(len(s.buf))
+	s.stats.BytesWritten += bytes
 	s.buf = s.buf[:0]
 	return nil
 }
 
-func (s *Sorter[T]) writeRun(name string) (RunFile, error) {
+// writeRun writes the sorted buffer as one run file and returns its
+// size in bytes.
+func (s *Sorter[T]) writeRun(name string) (int64, error) {
 	path := filepath.Join(s.cfg.Dir, name)
 	f, err := s.cfg.FS.Create(path)
 	if err != nil {
-		return RunFile{}, fmt.Errorf("extsort: create run %s: %w", path, err)
+		return 0, fmt.Errorf("extsort: create run %s: %w", path, err)
 	}
 	cw := &countWriter{w: f}
 	w := bufio.NewWriter(cw)
 	crc := crc32.NewIEEE()
 	var frame [binary.MaxVarintLen64]byte
 	var sum [4]byte
-	fail := func(err error) (RunFile, error) {
+	fail := func(err error) (int64, error) {
 		f.Close()
-		return RunFile{}, fmt.Errorf("extsort: write run %s: %w", path, err)
+		s.cfg.FS.Remove(path) // a torn run is nobody's; Discard cannot see it
+		return 0, fmt.Errorf("extsort: write run %s: %w", path, err)
 	}
 	if _, err := w.WriteString(runMagic); err != nil {
 		return fail(err)
@@ -250,45 +242,42 @@ func (s *Sorter[T]) writeRun(name string) (RunFile, error) {
 		return fail(err)
 	}
 	if err := f.Close(); err != nil {
-		return RunFile{}, fmt.Errorf("extsort: close run %s: %w", path, err)
+		s.cfg.FS.Remove(path)
+		return 0, fmt.Errorf("extsort: close run %s: %w", path, err)
 	}
-	return RunFile{Name: name, Records: int64(len(s.buf)), CRC: crc.Sum32(), Bytes: cw.n}, nil
+	return cw.n, nil
 }
 
 // Merge spills any buffered tail as a final run and returns an
-// Iterator merging every run, plus the run metadata a caller may
-// record in a manifest for later MergeRuns reuse. The Sorter must not
-// be Added to afterwards.
-func (s *Sorter[T]) Merge() (*Iterator[T], []RunFile, error) {
+// Iterator merging every run. The Sorter must not be Added to
+// afterwards; Discard it once the Iterator is closed to remove the
+// run files.
+func (s *Sorter[T]) Merge() (*Iterator[T], error) {
 	if s.err != nil {
-		return nil, nil, s.err
+		return nil, s.err
 	}
 	if len(s.buf) > 0 {
 		if err := s.spill(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	it, err := MergeRuns(s.cfg, s.runs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return it, s.runs, nil
+	return mergeRuns(s.cfg, s.runs)
 }
 
 // Stats returns the spill counters accumulated so far.
 func (s *Sorter[T]) Stats() Stats { return s.stats }
 
 // Discard removes every run file the Sorter has written and drops the
-// buffered tail, releasing the sort's disk footprint. Call it when a
-// sort is abandoned before its runs were handed to a caller — an
-// interrupted or failed Add/Merge — so a canceled run leaves no
-// orphaned files behind. Safe after a sticky error and idempotent;
-// the Sorter must not be used afterwards. Returns the first removal
-// error, if any (the remaining files are still attempted).
+// buffered tail, releasing the sort's disk footprint. Call it once the
+// merged stream is closed, or when a sort is abandoned — an
+// interrupted or failed Add/Merge — so no run leaves files behind.
+// Safe after a sticky error and idempotent; the Sorter must not be
+// used afterwards. Returns the first removal error, if any (the
+// remaining files are still attempted).
 func (s *Sorter[T]) Discard() error {
 	var first error
-	for _, rf := range s.runs {
-		if err := s.cfg.FS.Remove(filepath.Join(s.cfg.Dir, rf.Name)); err != nil && first == nil {
+	for _, name := range s.runs {
+		if err := s.cfg.FS.Remove(filepath.Join(s.cfg.Dir, name)); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -300,20 +289,19 @@ func (s *Sorter[T]) Discard() error {
 	return first
 }
 
-// MergeRuns opens previously written run files and k-way merges them —
-// the reuse path for fingerprinted runs surviving from an earlier
-// process. Each reader verifies framing, per-record checksums, the
-// footer's count and whole-run checksum, the caller's RunFile
-// metadata, and run-internal sort order while streaming; any violation
-// is a *CorruptError. Ties between runs break by run index, so the
-// merged order is fully deterministic whenever Less is a total order.
-func MergeRuns[T any](cfg Config[T], runs []RunFile) (*Iterator[T], error) {
+// mergeRuns opens the named run files under cfg.Dir and k-way merges
+// them. Each reader verifies framing, per-record checksums, the
+// footer's count and whole-run checksum, and run-internal sort order
+// while streaming; any violation is a *CorruptError. Ties between runs
+// break by run index, so the merged order is fully deterministic
+// whenever Less is a total order.
+func mergeRuns[T any](cfg Config[T], runs []string) (*Iterator[T], error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
 	it := &Iterator[T]{cfg: cfg}
-	for _, rf := range runs {
-		src, err := newRunReader(&it.cfg, rf)
+	for _, name := range runs {
+		src, err := newRunReader(&it.cfg, name)
 		if err != nil {
 			it.Close()
 			return nil, err
@@ -449,7 +437,6 @@ func (it *Iterator[T]) Close() error {
 // runReader streams and verifies one run file.
 type runReader[T any] struct {
 	cfg     *Config[T]
-	rf      RunFile
 	path    string
 	f       io.ReadCloser
 	cr      *countReader
@@ -462,14 +449,14 @@ type runReader[T any] struct {
 	done    bool
 }
 
-func newRunReader[T any](cfg *Config[T], rf RunFile) (*runReader[T], error) {
-	path := filepath.Join(cfg.Dir, rf.Name)
+func newRunReader[T any](cfg *Config[T], name string) (*runReader[T], error) {
+	path := filepath.Join(cfg.Dir, name)
 	f, err := cfg.FS.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("extsort: open run %s: %w", path, err)
 	}
 	cr := &countReader{r: f}
-	r := &runReader[T]{cfg: cfg, rf: rf, path: path, f: f, cr: cr, br: bufio.NewReader(cr)}
+	r := &runReader[T]{cfg: cfg, path: path, f: f, cr: cr, br: bufio.NewReader(cr)}
 	var magic [len(runMagic)]byte
 	if _, err := io.ReadFull(r.br, magic[:]); err != nil {
 		f.Close()
@@ -542,8 +529,8 @@ func (r *runReader[T]) next() (T, bool, error) {
 	return rec, true, nil
 }
 
-// finish verifies the footer against both the streamed content and the
-// caller's RunFile metadata, and requires a clean EOF after it.
+// finish verifies the footer against the streamed content and
+// requires a clean EOF after it.
 func (r *runReader[T]) finish() error {
 	count, err := binary.ReadUvarint(r.br)
 	if err != nil {
@@ -558,10 +545,6 @@ func (r *runReader[T]) finish() error {
 	}
 	if got := binary.LittleEndian.Uint32(sum[:]); got != r.crc {
 		return r.corrupt("whole-run checksum mismatch")
-	}
-	if r.rf.Records != r.seen || r.rf.CRC != r.crc {
-		return r.corrupt(fmt.Sprintf("run does not match its manifest entry (%d records crc %08x, manifest says %d crc %08x)",
-			r.seen, r.crc, r.rf.Records, r.rf.CRC))
 	}
 	if _, err := r.br.ReadByte(); err != io.EOF {
 		if err != nil {

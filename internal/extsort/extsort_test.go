@@ -3,6 +3,7 @@ package extsort
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -64,7 +65,7 @@ func TestSortRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			it, runs, err := s.Merge()
+			it, err := s.Merge()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,8 +80,8 @@ func TestSortRoundTrip(t *testing.T) {
 				}
 			}
 			wantRuns := (len(recs) + threshold - 1) / threshold
-			if len(runs) != wantRuns || s.Stats().RunsWritten != wantRuns {
-				t.Errorf("runs = %d (stats %d), want %d", len(runs), s.Stats().RunsWritten, wantRuns)
+			if len(s.runs) != wantRuns || s.Stats().RunsWritten != wantRuns {
+				t.Errorf("runs = %d (stats %d), want %d", len(s.runs), s.Stats().RunsWritten, wantRuns)
 			}
 			if s.Stats().Records != int64(len(recs)) {
 				t.Errorf("stats records = %d, want %d", s.Stats().Records, len(recs))
@@ -97,7 +98,7 @@ func TestEmptyInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, runs, err := s.Merge()
+	it, err := s.Merge()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +106,8 @@ func TestEmptyInput(t *testing.T) {
 	if got := drain(t, it); len(got) != 0 {
 		t.Fatalf("empty sort yielded %d records", len(got))
 	}
-	if len(runs) != 0 {
-		t.Fatalf("empty sort wrote %d runs", len(runs))
+	if n := s.Stats().RunsWritten; n != 0 {
+		t.Fatalf("empty sort wrote %d runs", n)
 	}
 }
 
@@ -156,7 +157,7 @@ func TestStableTieBreak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it, _, err := s.Merge()
+	it, err := s.Merge()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +171,8 @@ func TestStableTieBreak(t *testing.T) {
 }
 
 // writeRuns produces a small on-disk sort to corrupt: two runs over
-// dir, returning the run metadata and the merged reference output.
-func writeRuns(t *testing.T, dir string) ([]RunFile, []string) {
+// dir, returning the run file names and the merged reference output.
+func writeRuns(t *testing.T, dir string) ([]string, []string) {
 	t.Helper()
 	s, err := New(stringConfig(dir, 3))
 	if err != nil {
@@ -182,18 +183,18 @@ func writeRuns(t *testing.T, dir string) ([]RunFile, []string) {
 			t.Fatal(err)
 		}
 	}
-	it, runs, err := s.Merge()
+	it, err := s.Merge()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	return runs, drain(t, it)
+	return s.runs, drain(t, it)
 }
 
 // mergeAll re-opens the runs and streams them to the end, returning
 // the first error.
-func mergeAll(dir string, runs []RunFile) ([]string, error) {
-	it, err := MergeRuns(stringConfig(dir, 3), runs)
+func mergeAll(dir string, runs []string) ([]string, error) {
+	it, err := mergeRuns(stringConfig(dir, 3), runs)
 	if err != nil {
 		return nil, err
 	}
@@ -217,8 +218,8 @@ func mergeAll(dir string, runs []RunFile) ([]string, error) {
 func TestCorruptionEveryByteFlip(t *testing.T) {
 	dir := t.TempDir()
 	runs, want := writeRuns(t, dir)
-	for _, rf := range runs {
-		path := filepath.Join(dir, rf.Name)
+	for _, name := range runs {
+		path := filepath.Join(dir, name)
 		orig, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -233,10 +234,10 @@ func TestCorruptionEveryByteFlip(t *testing.T) {
 				got, err := mergeAll(dir, runs)
 				if err == nil {
 					t.Fatalf("%s: flipping byte %d with %#x went undetected (got %d records)",
-						rf.Name, off, flip, len(got))
+						name, off, flip, len(got))
 				}
 				if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("%s: flip at byte %d: error is not ErrCorrupt: %v", rf.Name, off, err)
+					t.Fatalf("%s: flip at byte %d: error is not ErrCorrupt: %v", name, off, err)
 				}
 			}
 		}
@@ -259,8 +260,8 @@ func TestCorruptionEveryByteFlip(t *testing.T) {
 func TestCorruptionEveryTruncation(t *testing.T) {
 	dir := t.TempDir()
 	runs, _ := writeRuns(t, dir)
-	for _, rf := range runs {
-		path := filepath.Join(dir, rf.Name)
+	for _, name := range runs {
+		path := filepath.Join(dir, name)
 		orig, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -270,7 +271,7 @@ func TestCorruptionEveryTruncation(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := mergeAll(dir, runs); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%s truncated to %d bytes: want ErrCorrupt, got %v", rf.Name, cut, err)
+				t.Fatalf("%s truncated to %d bytes: want ErrCorrupt, got %v", name, cut, err)
 			}
 		}
 		if err := os.WriteFile(path, orig, 0o644); err != nil {
@@ -282,7 +283,7 @@ func TestCorruptionEveryTruncation(t *testing.T) {
 func TestCorruptionTrailingGarbage(t *testing.T) {
 	dir := t.TempDir()
 	runs, _ := writeRuns(t, dir)
-	path := filepath.Join(dir, runs[0].Name)
+	path := filepath.Join(dir, runs[0])
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -295,30 +296,10 @@ func TestCorruptionTrailingGarbage(t *testing.T) {
 	}
 }
 
-// TestManifestMismatch verifies that runs are cross-checked against
-// the caller's RunFile metadata — a manifest pointing at the wrong
-// (but internally consistent) file is corruption, not a wrong answer.
-func TestManifestMismatch(t *testing.T) {
-	dir := t.TempDir()
-	runs, _ := writeRuns(t, dir)
-	for name, mutate := range map[string]func(RunFile) RunFile{
-		"records": func(rf RunFile) RunFile { rf.Records++; return rf },
-		"crc":     func(rf RunFile) RunFile { rf.CRC ^= 0xDEAD; return rf },
-	} {
-		t.Run(name, func(t *testing.T) {
-			bad := append([]RunFile(nil), runs...)
-			bad[0] = mutate(bad[0])
-			if _, err := mergeAll(dir, bad); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("want ErrCorrupt, got %v", err)
-			}
-		})
-	}
-}
-
 func TestMissingRunFile(t *testing.T) {
 	dir := t.TempDir()
 	runs, _ := writeRuns(t, dir)
-	if err := os.Remove(filepath.Join(dir, runs[1].Name)); err != nil {
+	if err := os.Remove(filepath.Join(dir, runs[1])); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mergeAll(dir, runs); err == nil {
@@ -339,7 +320,7 @@ func TestRecordSizeCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it, runs, err := s.Merge()
+	it, err := s.Merge()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +328,7 @@ func TestRecordSizeCap(t *testing.T) {
 	// A reader with a smaller cap rejects the same records up front.
 	tight := stringConfig(dir, 2)
 	tight.MaxRecordBytes = 1
-	it2, err := MergeRuns(tight, runs)
+	it2, err := mergeRuns(tight, s.runs)
 	if err == nil {
 		defer it2.Close()
 		_, _, err = it2.Next()
@@ -357,5 +338,39 @@ func TestRecordSizeCap(t *testing.T) {
 	}
 	if err != nil && !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("error should name the cap: %v", err)
+	}
+}
+
+// tornFS fails every run write after the first byte, like a full disk.
+type tornFS struct{ FS }
+
+func (f tornFS) Create(name string) (io.WriteCloser, error) {
+	w, err := f.FS.Create(name)
+	return &tornWriter{w}, err
+}
+
+type tornWriter struct{ io.WriteCloser }
+
+func (w *tornWriter) Write(p []byte) (int, error) {
+	n, _ := w.WriteCloser.Write(p[:min(len(p), 1)])
+	return n, errors.New("disk full")
+}
+
+// TestTornRunRemoved checks that a run whose write fails is removed
+// by the writer itself: it is in no Sorter's run list, so Discard
+// could never find it.
+func TestTornRunRemoved(t *testing.T) {
+	dir := t.TempDir()
+	cfg := stringConfig(dir, 1)
+	cfg.FS = tornFS{OSFS()}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add("x"); err == nil {
+		t.Fatal("a torn run write succeeded")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.run")); len(left) > 0 {
+		t.Fatalf("torn run left on disk: %v", left)
 	}
 }

@@ -40,7 +40,7 @@ func FuzzMergeInvariants(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		it, _, err := s.Merge()
+		it, err := s.Merge()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,12 +54,10 @@ type Metrics struct {
 	CheckpointBytes  atomic.Int64
 
 	// External-sort spill path (Options.SpillThresholdRows). Runs count
-	// sorted run files written; reused counts sorts satisfied from the
-	// on-disk manifest without re-sorting; bytes cover the run-file
-	// payloads in each direction; wall time is the cumulative sort+spill
-	// duration (merge streaming is accounted to the sliding window).
+	// sorted run files written; bytes cover the run-file payloads in
+	// each direction; wall time is the cumulative sort+spill duration
+	// (merge streaming is accounted to the sliding window).
 	SpillRuns         atomic.Int64
-	SpillRunsReused   atomic.Int64
 	SpillBytesWritten atomic.Int64
 	SpillBytesRead    atomic.Int64
 	SpillWallNanos    atomic.Int64
@@ -163,7 +161,6 @@ type Snapshot struct {
 	CheckpointWrites    int64   `json:"checkpoint_writes"`
 	CheckpointBytes     int64   `json:"checkpoint_bytes"`
 	SpillRuns           int64   `json:"spill_runs"`
-	SpillRunsReused     int64   `json:"spill_runs_reused"`
 	SpillBytesWritten   int64   `json:"spill_bytes_written"`
 	SpillBytesRead      int64   `json:"spill_bytes_read"`
 	SpillWallSeconds    float64 `json:"spill_wall_seconds"`
@@ -201,7 +198,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		CheckpointWrites:    m.CheckpointWrites.Load(),
 		CheckpointBytes:     m.CheckpointBytes.Load(),
 		SpillRuns:           m.SpillRuns.Load(),
-		SpillRunsReused:     m.SpillRunsReused.Load(),
 		SpillBytesWritten:   m.SpillBytesWritten.Load(),
 		SpillBytesRead:      m.SpillBytesRead.Load(),
 		SpillWallSeconds:    time.Duration(m.SpillWallNanos.Load()).Seconds(),
@@ -257,7 +253,6 @@ var promRows = []promRow{
 	{"sxnm_checkpoint_writes_total", "counter", "Durable checkpoint section writes.", func(s *Snapshot) float64 { return float64(s.CheckpointWrites) }},
 	{"sxnm_checkpoint_bytes_total", "counter", "Bytes written to the checkpoint directory.", func(s *Snapshot) float64 { return float64(s.CheckpointBytes) }},
 	{"sxnm_spill_runs_total", "counter", "Sorted run files written by the external-sort spill path.", func(s *Snapshot) float64 { return float64(s.SpillRuns) }},
-	{"sxnm_spill_runs_reused_total", "counter", "Spill sorts satisfied from the on-disk run manifest.", func(s *Snapshot) float64 { return float64(s.SpillRunsReused) }},
 	{"sxnm_spill_bytes_written_total", "counter", "Run-file payload bytes written by the spill path.", func(s *Snapshot) float64 { return float64(s.SpillBytesWritten) }},
 	{"sxnm_spill_bytes_read_total", "counter", "Run-file payload bytes streamed back during merges.", func(s *Snapshot) float64 { return float64(s.SpillBytesRead) }},
 	{"sxnm_spill_wall_seconds", "counter", "Cumulative wall time spent sorting and spilling runs.", func(s *Snapshot) float64 { return s.SpillWallSeconds }},

@@ -45,8 +45,8 @@ const (
 	SpanTransitiveClosure = "transitive-closure"
 	// SpanCheckpoint covers one durable checkpoint write.
 	SpanCheckpoint = "checkpoint"
-	// SpanSpill covers one external-sort spill (or manifest reuse) of a
-	// candidate's GK rows for a single key pass.
+	// SpanSpill covers one external-sort spill of a candidate's GK rows
+	// for a single key pass.
 	SpanSpill = "spill-sort"
 	// EventResume records that a run was seeded with recovered state.
 	EventResume = "resume"

@@ -46,9 +46,8 @@ const (
 	AttrSimCacheEvictions = "sim_cache_evictions"
 
 	// External-sort spill attributes, set on SpanSpill spans.
-	AttrSpillRuns   = "spill_runs"
-	AttrSpillBytes  = "spill_bytes"
-	AttrSpillReused = "spill_reused"
+	AttrSpillRuns  = "spill_runs"
+	AttrSpillBytes = "spill_bytes"
 )
 
 // ReportSchema identifies the report.json layout version.
@@ -109,10 +108,9 @@ type ResumeReport struct {
 }
 
 // SpillReport summarizes the external-sort spill path's disk I/O;
-// present only when a run actually spilled (or reused spilled runs).
+// present only when a run actually spilled.
 type SpillReport struct {
 	Runs         int64   `json:"runs"`
-	RunsReused   int64   `json:"runs_reused"`
 	BytesWritten int64   `json:"bytes_written"`
 	BytesRead    int64   `json:"bytes_read"`
 	WallSeconds  float64 `json:"wall_seconds"`
@@ -309,10 +307,9 @@ func (c *Collector) Report(m *Metrics) *Report {
 		cp := c.checkpoint
 		rep.Checkpoint = &cp
 	}
-	if s := &rep.Metrics; s.SpillRuns+s.SpillRunsReused+s.SpillBytesWritten+s.SpillBytesRead > 0 {
+	if s := &rep.Metrics; s.SpillRuns+s.SpillBytesWritten+s.SpillBytesRead > 0 {
 		rep.Spill = &SpillReport{
 			Runs:         s.SpillRuns,
-			RunsReused:   s.SpillRunsReused,
 			BytesWritten: s.SpillBytesWritten,
 			BytesRead:    s.SpillBytesRead,
 			WallSeconds:  s.SpillWallSeconds,

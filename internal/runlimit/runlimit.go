@@ -36,12 +36,6 @@ type Limits struct {
 	// cancellation/budget checks (default 1024). Smaller values react
 	// faster at slightly higher overhead; tests use 1 for determinism.
 	CheckEvery int
-	// SpillRows downgrades MaxRows from a hard cap to an advisory: the
-	// caller has an external-memory spill path that bounds detection
-	// memory, so key generation keeps accepting rows instead of failing
-	// the run. The engine sets it automatically when a spill threshold
-	// is configured; it has no effect on any other limit.
-	SpillRows bool
 }
 
 // Bounded reports whether any limit besides CheckEvery is set.
@@ -50,10 +44,8 @@ func (l Limits) Bounded() bool {
 }
 
 // CheckRows enforces MaxRows for one candidate's observed row count.
-// With SpillRows set the cap is waived — the spill path bounds memory
-// instead, so a table larger than MaxRows is no longer a failure.
 func (l Limits) CheckRows(observed int) error {
-	if l.MaxRows > 0 && !l.SpillRows && observed > l.MaxRows {
+	if l.MaxRows > 0 && observed > l.MaxRows {
 		return &LimitError{Limit: "max-rows", Max: l.MaxRows, Observed: observed}
 	}
 	return nil

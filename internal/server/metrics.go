@@ -174,7 +174,6 @@ func addSnapshot(dst *obs.Snapshot, s obs.Snapshot) {
 	dst.CheckpointWrites += s.CheckpointWrites
 	dst.CheckpointBytes += s.CheckpointBytes
 	dst.SpillRuns += s.SpillRuns
-	dst.SpillRunsReused += s.SpillRunsReused
 	dst.SpillBytesWritten += s.SpillBytesWritten
 	dst.SpillBytesRead += s.SpillBytesRead
 	dst.ResumedCandidates += s.ResumedCandidates

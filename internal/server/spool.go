@@ -13,8 +13,8 @@ import (
 )
 
 // The spool is the daemons' durable state: one directory per job
-// holding the submission itself, the run's checkpoint and spill
-// state, the job's ownership lease, and — once the job stops — its
+// holding the submission itself, the run's checkpoint, the spill
+// scratch, the job's ownership lease, and — once the job stops — its
 // outcome and run report.
 //
 //	<spool>/<job-id>/
@@ -23,7 +23,8 @@ import (
 //	    checkpoint/   crash-safe engine checkpoint (RunCheckpointed, manifest
 //	                  v2): cluster sets and pass progress; no GK tables,
 //	                  which each attempt rebuilds from job.json's document
-//	    spill/        external-sort run files, pinned to the checkpoint
+//	    spill/        external-sort run files of the key pass in flight; each
+//	                  pass removes its own, so it is empty between attempts
 //	    outcome.json  terminal state + clusters + stats (absent ⇒ not finished)
 //	    report.json   per-candidate per-pass run report (all stop paths)
 //	    metrics.prom  final engine counters, Prometheus text format

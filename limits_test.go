@@ -211,3 +211,38 @@ func TestHostileInputsReader(t *testing.T) {
 		})
 	}
 }
+
+// TestSpillKeepsMaxRowsReader checks the reader path: a spill threshold
+// does not waive MaxRows, so RunReader stops with the same max-rows
+// LimitError and partial Result as without spill.
+func TestSpillKeepsMaxRowsReader(t *testing.T) {
+	data := dataset.DataSet3(60, 2).String()
+	run := func(threshold int) (*Result, *LimitError) {
+		t.Helper()
+		det, err := NewWithOptions(largeConfig(t), Options{
+			Limits:             Limits{MaxRows: 10},
+			SpillThresholdRows: threshold,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := det.RunReader(strings.NewReader(data))
+		var le *LimitError
+		if !errors.As(err, &le) || le.Limit != "max-rows" {
+			t.Fatalf("spill=%d: want max-rows LimitError, got %v", threshold, err)
+		}
+		if res == nil || res.Incomplete == nil {
+			t.Fatalf("spill=%d: no partial result", threshold)
+		}
+		return res, le
+	}
+	want, wantLE := run(0)
+	got, gotLE := run(4)
+	if *gotLE != *wantLE {
+		t.Errorf("LimitError %+v, want %+v", *gotLE, *wantLE)
+	}
+	if got.Incomplete.Phase != want.Incomplete.Phase || len(got.Clusters) != len(want.Clusters) {
+		t.Errorf("partial result differs: got %+v with %d cluster sets, want %+v with %d",
+			*got.Incomplete, len(got.Clusters), *want.Incomplete, len(want.Clusters))
+	}
+}

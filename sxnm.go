@@ -255,7 +255,7 @@ func (d *Detector) runTokens(ctx context.Context, r io.Reader, fingerprint bool,
 		fp = checkpoint.FingerprintTokens(sc)
 	}
 	sp := d.opts.Observer.StartSpan(obs.SpanParse, obs.Bool(obs.AttrStream, true))
-	kg, err := core.GenerateKeysScan(ctx, sc, d.cfg, d.opts.KeyGenLimits(), d.opts.Observer)
+	kg, err := core.GenerateKeysScan(ctx, sc, d.cfg, d.opts.Limits, d.opts.Observer)
 	var sum string
 	switch {
 	case err != nil:
@@ -318,7 +318,7 @@ func (d *Detector) runFile(ctx context.Context, path string, fingerprint bool) (
 // sweeping windows and thresholds — without re-reading the XML. Load
 // with RunFromGK.
 func (d *Detector) WriteGK(r io.Reader, w io.Writer) error {
-	kg, err := core.GenerateKeysStreamContext(context.Background(), r, d.cfg, d.opts.KeyGenLimits())
+	kg, err := core.GenerateKeysStreamContext(context.Background(), r, d.cfg, d.opts.Limits)
 	if err != nil {
 		return fmt.Errorf("sxnm: %w", err)
 	}
